@@ -3,13 +3,17 @@
 Generator images follow the classical block matrices over Z[t, t^-1]:
 the unreduced U_i carries the 2x2 block [[1-t, t], [1, 0]] at position i,
 and the reduced V_i are the (n-1)x(n-1) companions related to U_i by
-conjugation with the upper-triangular all-ones matrix C.  Words map to
-products of generator matrices in word order.
+conjugation with the upper-triangular all-ones matrix C.  Each generator
+and its inverse differ from the identity only in one column (V_i) or two
+columns (U_i), and the inverses are written in closed form.  Words map to
+products of generator matrices in word order, applied letter by letter as
+column actions that rewrite only those columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .laurent import LaurentPoly, RingMatrix
 from .words import BraidWord
@@ -29,70 +33,60 @@ class BurauImage:
     matrix: RingMatrix
 
 
-def _embed_block(n: int, i: int, block) -> RingMatrix:
-    """Place a 2x2 block at rows/cols (i, i+1) of the n x n identity."""
-    grid = [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
-    for dr in range(2):
-        for dc in range(2):
-            grid[i - 1 + dr][i - 1 + dc] = block[dr][dc]
-    return RingMatrix(n, n, tuple(tuple(row) for row in grid))
+@lru_cache(maxsize=None)
+def _columns(n: int, i: int, sign: int, reduced: bool) -> tuple:
+    """The columns in which a generator image differs from the identity.
 
-
-def unreduced_generator(n: int, i: int, sign: int = 1) -> RingMatrix:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
+    Returns ``((col, ((row, entry), ...)), ...)`` with 0-indexed positions;
+    rows not listed are zero.  V_i^{+-1} differs in column j = i-1 only,
+    with (t, -t, 1), resp. (1, -t^-1, t^-1), on rows j-1, j, j+1 clipped to
+    the matrix.  U_i^{+-1} differs in columns j and j+1 (its 2x2 block).
+    """
+    j = i - 1
+    if reduced:
+        entries = (T, -T, _ONE) if sign == 1 else (_ONE, -_TINV, _TINV)
+        rows = tuple((j - 1 + d, e) for d, e in enumerate(entries) if 0 <= j - 1 + d < n - 1)
+        return ((j, rows),)
     if sign == 1:
-        block = [[_ONE - T, T], [_ONE, _ZERO]]
-    else:
-        block = [[_ZERO, _ONE], [_TINV, _ONE - _TINV]]
-    return _embed_block(n, i, block)
+        return ((j, ((j, _ONE - T), (j + 1, _ONE))), (j + 1, ((j, T),)))
+    return ((j, ((j + 1, _TINV),)), (j + 1, ((j, _ONE), (j + 1, _ONE - _TINV))))
 
 
-def reduced_generator(n: int, i: int, sign: int = 1) -> RingMatrix:
-    if n < 2:
-        raise ValueError("reduced Burau needs n >= 2")
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    if n == 2:
-        v = RingMatrix.from_rows([[-T]])
-    else:
-        k = n - 1
-        grid = [[_ONE if r == c else _ZERO for c in range(k)] for r in range(k)]
-        if i == 1:
-            grid[0][0] = -T
-            grid[1][0] = _ONE
-        elif i == n - 1:
-            grid[k - 2][k - 1] = T
-            grid[k - 1][k - 1] = -T
-        else:
-            # middle 3x3 block at rows/cols i-1, i, i+1 (1-indexed)
-            grid[i - 2][i - 1] = T
-            grid[i - 1][i - 1] = -T
-            grid[i][i - 1] = _ONE
-        v = RingMatrix(k, k, tuple(tuple(row) for row in grid))
-    if sign == 1:
-        return v
-    return v.inverse_unit_det()
+def _word_image(w: BraidWord, reduced: bool) -> BurauImage:
+    """Right-multiply the identity by each letter's generator, rewriting
+    only the columns that generator changes, from the old row values."""
+    if w.n < 2:
+        raise ValueError(f"{'reduced ' * reduced}Burau representation needs n >= 2")
+    k = w.n - 1 if reduced else w.n
+    acc = [[_ONE if r == c else _ZERO for c in range(k)] for r in range(k)]
+    for i, s in w.letters:
+        columns = _columns(w.n, i, s, reduced)
+        for row in acc:
+            new = [sum((row[r] * e for r, e in col if row[r].terms), _ZERO) for _, col in columns]
+            for (c, _), v in zip(columns, new):
+                row[c] = v
+    return BurauImage(w.n, reduced, RingMatrix(k, k, tuple(tuple(row) for row in acc)))
 
 
 def burau(w: BraidWord) -> BurauImage:
     """The unreduced Burau matrix of a braid word (n >= 2)."""
-    if w.n < 2:
-        raise ValueError("Burau representation needs n >= 2")
-    acc = RingMatrix.identity(w.n)
-    for i, s in w.letters:
-        acc = acc @ unreduced_generator(w.n, i, s)
-    return BurauImage(w.n, False, acc)
+    return _word_image(w, False)
 
 
 def reduced_burau(w: BraidWord) -> BurauImage:
     """The reduced Burau matrix of a braid word, size (n-1) x (n-1)."""
-    if w.n < 2:
-        raise ValueError("reduced Burau representation needs n >= 2")
-    acc = RingMatrix.identity(w.n - 1)
-    for i, s in w.letters:
-        acc = acc @ reduced_generator(w.n, i, s)
-    return BurauImage(w.n, True, acc)
+    return _word_image(w, True)
+
+
+def unreduced_generator(n: int, i: int, sign: int = 1) -> RingMatrix:
+    """U_i^{sign}: the image of the one-letter word, i.e. the table's
+    columns embedded into the identity."""
+    return burau(BraidWord(n, ((i, sign),))).matrix
+
+
+def reduced_generator(n: int, i: int, sign: int = 1) -> RingMatrix:
+    """V_i^{sign}, embedded from the same table as the word images."""
+    return reduced_burau(BraidWord(n, ((i, sign),))).matrix
 
 
 def ones_upper_triangular(n: int) -> RingMatrix:

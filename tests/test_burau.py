@@ -1,6 +1,7 @@
 """Burau representations: generator matrices, relations, conjugation identity."""
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -129,3 +130,35 @@ def test_conjugation_identity(n):
 def test_conjugation_matrix_shape():
     c = ones_upper_triangular(3)
     assert c == RingMatrix.from_rows([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_closed_form_inverses(n):
+    for gen in (reduced_generator, unreduced_generator):
+        for i in range(1, n):
+            pos, neg = gen(n, i, 1), gen(n, i, -1)
+            assert (pos @ neg).is_identity() and (neg @ pos).is_identity()
+    for i in range(1, n):
+        # adjugate/det shares no code with the closed-form column table
+        assert reduced_generator(n, i, -1) == reduced_generator(n, i, 1).inverse_unit_det()
+
+
+def test_column_actions_match_dense_products():
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        w = random_word(rng, n, max_len=24)
+        cases = ((reduced_burau, reduced_generator, n - 1), (burau, unreduced_generator, n))
+        for rep, gen, k in cases:
+            dense = reduce(
+                lambda acc, letter: acc @ gen(n, *letter), w.letters, RingMatrix.identity(k)
+            )
+            assert rep(w).matrix == dense
+
+
+def test_out_of_range_letters_rejected_before_burau():
+    for letters in (((3, 1),), ((0, -1),), ((1, 2),)):
+        with pytest.raises(ValueError):
+            reduced_burau(BraidWord(3, letters))
+    with pytest.raises(ValueError):
+        reduced_generator(4, 4, -1)

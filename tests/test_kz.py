@@ -1,12 +1,15 @@
 """KZ transport: paths, connection values, monodromy, flatness, homotopy."""
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from braidrep.burau import reduced_burau
 from braidrep.kz import (
     KzSpec,
     connection_value,
@@ -21,7 +24,7 @@ from braidrep.kz import (
     pure_loop_path,
 )
 from braidrep.verma import leg_permutation_matrix, omega_matrix
-from braidrep.words import BraidWord, underlying_permutation
+from braidrep.words import BraidWord, exponent_sum, underlying_permutation
 
 H_SMALL = 0.1 + 0.05j
 
@@ -275,3 +278,40 @@ def test_transport_reports_steps_and_error():
     result = parallel_transport(spec, generator_path(2, 1), 1e-9)
     assert result.steps > 0
     assert 0 <= result.est_error < 1e-6
+
+
+def _evaluate_at(matrix, t0: complex) -> np.ndarray:
+    """A Laurent matrix in t evaluated at the complex number t0."""
+
+    def value(p):
+        return sum(complex(c) * t0 ** dict(zip(p.vars, e)).get("t", 0) for e, c in p.terms.items())
+
+    return np.array([[value(p) for p in row] for row in matrix.entries])
+
+
+@pytest.mark.parametrize(
+    "n, lam, tau",
+    [
+        (4, Fraction(1, 3), 3.7 + 0.4j),
+        (3, Fraction(2, 5), 2.1 - 0.3j),
+        (5, Fraction(-3, 7), 1.3 + 0.8j),
+    ],
+)
+def test_nullspace_rep_at_m1_is_reduced_burau(n, lam, tau):
+    """At m = 1 the KZ nullspace representation is c^{e(w)} times reduced
+    Burau at t = exp(-pi i lam / (2 tau)), with c = exp(pi i lam^2 / (8 tau)),
+    up to conjugation: compare traces and characteristic polynomials."""
+    rng = random.Random(n)
+    spec = KzSpec(n, lam, 1, tau=tau, restrict_to_nullspace=True)
+    t0 = cmath.exp(-1j * math.pi * float(lam) / (2 * tau))
+    c = cmath.exp(1j * math.pi * float(lam) ** 2 / (8 * tau))
+    for _ in range(3):
+        w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(8)))
+        kz_matrix = nullspace_rep(spec, w, tol=1e-11).matrix
+        burau_value = reduced_burau(w).matrix
+        psi = c ** exponent_sum(w) * _evaluate_at(burau_value, t0)
+        assert abs(np.trace(kz_matrix) - np.trace(psi)) < 1e-9
+        assert np.allclose(np.poly(kz_matrix), np.poly(psi), rtol=0, atol=1e-9)
+        # the trace-form normalization, t0^4, does not match
+        wrong = c ** exponent_sum(w) * _evaluate_at(burau_value, t0 ** 4)
+        assert not np.allclose(np.poly(kz_matrix), np.poly(wrong), rtol=0, atol=1e-6)
