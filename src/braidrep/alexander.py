@@ -43,7 +43,7 @@ def markov_f(w: BraidWord) -> LaurentPoly:
     sign = 1 if (n + 1) % 2 == 0 else -1
     numerator = (
         char_s
-        * LaurentPoly.monomial(sign, ("s",), (-exponent_sum(w),))
+        * LaurentPoly.monomial(sign, "s", -exponent_sum(w))
         * (S - _SINV)
     )
     return exact_div(numerator, S ** n - _SINV ** n)

@@ -19,8 +19,8 @@ from .laurent import LaurentPoly, RingMatrix
 from .words import BraidWord
 
 T = LaurentPoly.var("t")
-_ONE = LaurentPoly.constant(1, ("t",))
-_ZERO = LaurentPoly.constant(0, ("t",))
+_ONE = LaurentPoly.constant(1)
+_ZERO = LaurentPoly.constant(0)
 _TINV = T.unit_inverse()
 
 

@@ -1,20 +1,25 @@
-"""Exact Laurent polynomial arithmetic and dense matrices over it.
+"""Exact one-variable Laurent polynomials and dense matrices over them.
 
-Polynomials live in Z[v1^{+-1}, ..., vk^{+-1}] with integer (or rational)
-coefficients, stored as a map from integer exponent vectors to nonzero
-coefficients.  Everything is immutable and all operations return new values.
+Every ring in this package is Z[v, v^-1] (or Q[v, v^-1]) in one named
+variable: t for Burau, s for Alexander-Conway, q for r-matrices.  A
+polynomial stores a map from integer exponents to nonzero int/Fraction
+coefficients together with its variable name, which is ``None`` exactly
+when the polynomial is constant.  Combining two different variables raises
+``ValueError``.  Everything is immutable and all operations return new
+values.
 
-The canonical printed form for a single variable lists terms in increasing
-exponent, e.g. ``s^-2 - 1 + s^2``; this string format is part of the CLI
-contract and round-trips through :func:`LaurentPoly.parse`.
+The canonical printed form lists terms in increasing exponent, e.g.
+``s^-2 - 1 + s^2``; this string format is part of the CLI contract and
+round-trips through :func:`LaurentPoly.parse`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class ExactDivisionError(ArithmeticError):
@@ -28,29 +33,48 @@ def _norm_coeff(c):
     return c
 
 
-class LaurentPoly:
-    """A Laurent polynomial over an ordered tuple of variable names.
+def _clean(terms: dict) -> dict:
+    """Drop zero coefficients and collapse integral Fractions."""
+    return {e: c if type(c) is int else _norm_coeff(c) for e, c in terms.items() if c}
 
-    ``terms`` maps exponent tuples (one entry per variable, possibly
-    negative) to nonzero int/Fraction coefficients.  The constructor
-    normalizes away zero coefficients, so equality of term dicts is
-    equality of polynomials once variable lists are unified.
+
+def _div_coeff(c, d):
+    """c / d over Q, kept an int when d divides c."""
+    if type(c) is int and type(d) is int and not c % d:
+        return c // d
+    return _norm_coeff(Fraction(c, d))
+
+
+class LaurentPoly:
+    """A Laurent polynomial in one named variable.
+
+    ``terms`` maps integer exponents (possibly negative) to nonzero
+    int/Fraction coefficients; ``variable`` is the variable name, or
+    ``None`` for a constant.  This form is canonical, so equality and
+    hashing compare the two fields.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("variable", "terms")
 
-    def __init__(self, variables: Iterable[str] = (), terms: Mapping | None = None):
-        object.__setattr__(self, "vars", tuple(variables))
-        acc = {}
-        if terms:
-            nv = len(self.vars)
-            for exps, c in terms.items():
-                if len(exps) != nv:
-                    raise ValueError(f"exponent vector {exps} does not match variables {self.vars}")
-                e = tuple(int(x) for x in exps)
-                acc[e] = acc.get(e, 0) + c
-        clean = {e: _norm_coeff(c) for e, c in acc.items() if c}
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, variable: str | None = None, terms: Mapping | None = None):
+        if variable is not None and not isinstance(variable, str):
+            raise TypeError(f"variable name {variable!r} is not a string")
+        clean = _clean({operator.index(e): c for e, c in (terms or {}).items()})
+        if variable is None and any(clean):
+            raise ValueError("a non-constant polynomial needs a variable name")
+        self._set(variable, clean)
+
+    @classmethod
+    def _make(cls, variable: str | None, terms: dict) -> "LaurentPoly":
+        """Wrap a clean term dict (int exponents, nonzero normalized
+        coefficients) without re-checking it."""
+        p = object.__new__(cls)
+        p._set(variable, terms)
+        return p
+
+    def _set(self, variable, terms):
+        object.__setattr__(self, "variable", variable if any(terms) else None)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -58,21 +82,17 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(c, variables: Iterable[str] = ()) -> "LaurentPoly":
-        variables = tuple(variables)
+    def constant(c) -> "LaurentPoly":
         c = _norm_coeff(c)
-        if not c:
-            return LaurentPoly(variables, {})
-        return LaurentPoly(variables, {(0,) * len(variables): c})
+        return LaurentPoly._make(None, {0: c} if c else {})
 
     @staticmethod
     def var(name: str) -> "LaurentPoly":
-        return LaurentPoly((name,), {(1,): 1})
+        return LaurentPoly(name, {1: 1})
 
     @staticmethod
-    def monomial(c, variables: Iterable[str], exponents: Iterable[int]) -> "LaurentPoly":
-        variables = tuple(variables)
-        return LaurentPoly(variables, {tuple(exponents): c})
+    def monomial(c, variable: str, exponent: int) -> "LaurentPoly":
+        return LaurentPoly(variable, {exponent: c})
 
     # -- canonical shape ---------------------------------------------------
 
@@ -80,80 +100,55 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((0,) * len(self.vars)) == 1
+        return len(self.terms) == 1 and self.terms.get(0) == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
     def constant_value(self):
         """The coefficient of the zero monomial, for constant polynomials."""
-        for e, c in self.terms.items():
-            if any(e):
-                raise ValueError(f"{self} is not constant")
-        return self.terms.get((0,) * len(self.vars), 0)
-
-    def _trimmed(self):
-        """Drop unused variables and sort the rest; for equality and hashing."""
-        used = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
-        names = tuple(sorted(self.vars[i] for i in used))
-        order = sorted(used, key=lambda i: self.vars[i])
-        terms = {tuple(e[i] for i in order): c for e, c in self.terms.items()}
-        return names, terms
+        if self.variable is not None:
+            raise ValueError(f"{self} is not constant")
+        return self.terms.get(0, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a_names, a_terms = self._trimmed()
-        b_names, b_terms = other._trimmed()
-        return a_names == b_names and a_terms == b_terms
+        return self.variable == other.variable and self.terms == other.terms
 
     def __hash__(self):
-        names, terms = self._trimmed()
-        return hash((names, frozenset(terms.items())))
+        return hash((self.variable, frozenset(self.terms.items())))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _unified(self, other: "LaurentPoly"):
-        """Remap both polynomials onto the sorted union of their variables."""
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        union = tuple(sorted(set(self.vars) | set(other.vars)))
-
-        def remap(p):
-            idx = [p.vars.index(v) if v in p.vars else None for v in union]
-            out = {}
-            for e, c in p.terms.items():
-                key = tuple(0 if i is None else e[i] for i in idx)
-                out[key] = out.get(key, 0) + c
-            return out
-
-        return union, remap(self), remap(other)
+    def _common(self, other: "LaurentPoly") -> str | None:
+        """The variable of a result combining self and other."""
+        a, b = self.variable, other.variable
+        if a == b or b is None:
+            return a
+        if a is None:
+            return b
+        raise ValueError(f"cannot combine polynomials in {a!r} and {b!r}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other, self.vars)
-        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly.constant(other)
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        variables, a, b = self._unified(other)
-        out = dict(a)
-        for e, c in b.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(variables, out)
+        variable = self._common(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly._make(variable, _clean(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.variable, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other, self.vars)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -161,24 +156,20 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentPoly(self.vars, {})
-            return LaurentPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+            return LaurentPoly._make(self.variable, _clean({e: c * other for e, c in self.terms.items()}))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        variables, a, b = self._unified(other)
+        variable = self._common(other)
+        a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         out = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return LaurentPoly(variables, out)
+                k = ea + eb
+                out[k] = get(k, 0) + ca * cb
+        return LaurentPoly._make(variable, _clean(out))
 
     __rmul__ = __mul__
 
@@ -187,7 +178,7 @@ class LaurentPoly:
             return NotImplemented
         if k < 0:
             return self.unit_inverse() ** (-k)
-        result = LaurentPoly.constant(1, self.vars)
+        result = LaurentPoly.constant(1)
         base = self
         while k:
             if k & 1:
@@ -201,214 +192,135 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise ExactDivisionError(f"{self} is not a unit monomial")
         ((e, c),) = self.terms.items()
-        return LaurentPoly(self.vars, {tuple(-x for x in e): _norm_coeff(Fraction(1, 1) / c)})
+        return LaurentPoly._make(self.variable, {-e: _div_coeff(1, c)})
 
     # -- display and parsing -----------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0])
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in self._sorted_terms():
-            mono = "*".join(
-                name if k == 1 else f"{name}^{k}"
-                for name, k in zip(self.vars, e)
-                if k != 0
-            )
-            ac = -c if (c < 0) else c
-            if mono and ac == 1:
-                body = mono
-            elif mono:
-                body = f"{ac}*{mono}"
-            else:
-                body = str(ac)
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        out = ""
+        for e, c in sorted(self.terms.items()):
+            mono = "" if e == 0 else self.variable if e == 1 else f"{self.variable}^{e}"
+            ac = abs(c)
+            if out:
+                out += " - " if c < 0 else " + "
+            elif c < 0:
+                out = "-"
+            out += str(ac) if not mono else mono if ac == 1 else f"{ac}*{mono}"
+        return out or "0"
 
     def __repr__(self):
         return f"LaurentPoly({str(self)!r})"
 
-    _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(/)|(\+)|(-))")
+    _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^])")
 
     @staticmethod
-    def parse(text: str, variables: Iterable[str] = ()) -> "LaurentPoly":
+    def parse(text: str, variable: str | None = None) -> "LaurentPoly":
         """Parse the canonical string form back into a polynomial.
 
-        ``variables`` seeds the variable list; names encountered in the text
-        are added on the fly.
+        The first name in the text fixes the variable unless ``variable``
+        is given; any other name raises ``ValueError``.
         """
         tokens = []
         pos = 0
         while pos < len(text):
             m = LaurentPoly._TOKEN.match(text, pos)
-            if not m or m.end() == pos:
+            if not m:
                 if text[pos:].strip():
                     raise ValueError(f"bad polynomial syntax near {text[pos:]!r}")
                 break
-            tokens.append(m.group().strip())
+            tokens.append(m.group(1))
             pos = m.end()
+        tokens.reverse()  # consumed from the end
 
-        names = list(variables)
-        result = LaurentPoly(tuple(names), {})
-        i = 0
+        def sign():
+            s = 1
+            while tokens and tokens[-1] in "+-":
+                s = -s if tokens.pop() == "-" else s
+            return s
 
-        def parse_int(j):
-            neg = False
-            while j < len(tokens) and tokens[j] in "+-":
-                if tokens[j] == "-":
-                    neg = not neg
-                j += 1
-            if j >= len(tokens) or not tokens[j].isdigit():
+        def integer():
+            s = sign()
+            if not (tokens and tokens[-1].isdigit()):
                 raise ValueError("expected integer")
-            return (-int(tokens[j]) if neg else int(tokens[j])), j + 1
+            return s * int(tokens.pop())
 
-        while i < len(tokens):
-            sign = 1
-            while i < len(tokens) and tokens[i] in "+-":
-                if tokens[i] == "-":
-                    sign = -sign
-                i += 1
-            if i >= len(tokens):
+        terms: dict[int, Fraction] = {}
+        while tokens:
+            coeff, exp = Fraction(sign()), 0
+            if not tokens:
                 raise ValueError("dangling sign")
-            coeff = Fraction(sign)
-            mono: dict[str, int] = {}
-            expect_factor = True
-            while i < len(tokens) and expect_factor:
-                tok = tokens[i]
-                if tok.isdigit():
-                    num = int(tok)
-                    i += 1
-                    if i < len(tokens) and tokens[i] == "/":
-                        den, i = parse_int(i + 1)
-                        coeff *= Fraction(num, den)
-                    else:
-                        coeff *= num
-                elif re.match(r"[A-Za-z_]", tok):
-                    exp = 1
-                    i += 1
-                    if i < len(tokens) and tokens[i] == "^":
-                        exp, i = parse_int(i + 1)
-                    mono[tok] = mono.get(tok, 0) + exp
-                    if tok not in names:
-                        names.append(tok)
-                else:
+            while tokens:  # factors joined by '*'
+                tok = tokens.pop()
+                if tok in "+-*/^":
                     raise ValueError(f"unexpected token {tok!r}")
-                if i < len(tokens) and tokens[i] == "*":
-                    i += 1
+                if tok.isdigit():
+                    coeff *= int(tok)
+                    if tokens[-1:] == ["/"]:
+                        tokens.pop()
+                        coeff /= integer()
                 else:
-                    expect_factor = False
-            term_vars = tuple(names)
-            exps = tuple(mono.get(v, 0) for v in term_vars)
-            result = result + LaurentPoly(term_vars, {exps: _norm_coeff(coeff)})
-        return result
+                    variable = variable or tok
+                    if tok != variable:
+                        raise ValueError(f"variable {tok!r} in a polynomial in {variable!r}")
+                    exp += 1
+                    if tokens[-1:] == ["^"]:
+                        tokens.pop()
+                        exp += integer() - 1
+                if tokens[-1:] != ["*"]:
+                    break
+                tokens.pop()
+            terms[exp] = terms.get(exp, 0) + coeff
+        return LaurentPoly._make(variable, _clean(terms))
 
     # -- substitution ------------------------------------------------------
 
     def substitute_hom(self, name: str, image: "LaurentPoly") -> "LaurentPoly":
         """Ring homomorphism sending ``name`` to a unit monomial ``image``.
 
-        The image must be a single-term unit so the map extends to negative
-        exponents (e.g. t -> s^2 maps t^-1 to s^-2).
+        The image c*s^k must be a single term so the map extends to negative
+        exponents: t^e goes to c^e s^(ke) (e.g. t -> s^2 maps t^-1 to s^-2).
         """
         if len(image.terms) != 1:
             raise ValueError(f"substitution image {image} is not a unit monomial")
-        if name not in self.vars:
+        if self.variable != name:
             return self
-        axis = self.vars.index(name)
-        rest = tuple(v for v in self.vars if v != name)
-        out = LaurentPoly(rest, {})
-        inv = image.unit_inverse()
-        for e, c in self.terms.items():
-            k = e[axis]
-            base = LaurentPoly(rest, {tuple(x for i, x in enumerate(e) if i != axis): c})
-            out = out + base * (image if k >= 0 else inv) ** abs(k)
-        return out
+        ((k, c),) = image.terms.items()
+        out = {}
+        for e, a in self.terms.items():
+            out[k * e] = out.get(k * e, 0) + a * (c ** e if e >= 0 else Fraction(1, c) ** -e)
+        return LaurentPoly._make(image.variable, _clean(out))
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Return q with q*b = a exactly, or raise :class:`ExactDivisionError`.
 
-    Division by a unit monomial is termwise.  Otherwise the polynomials are
-    shifted to clear negative exponents in a main variable and divided by
-    recursive long division; leading coefficients of exact quotients always
-    divide, so any failure certifies non-divisibility.
+    Long division over Q from the top exponent down.  A quotient exponent
+    is at least min(a) - min(b), so a remainder term that would need a
+    smaller one certifies non-divisibility.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return LaurentPoly(a.vars, {})
-    variables, at, bt = a._unified(b)
-    a = LaurentPoly(variables, at)
-    b = LaurentPoly(variables, bt)
-
-    if len(b.terms) == 1:
-        ((be, bc),) = b.terms.items()
-        inv = Fraction(1) / bc
-        return LaurentPoly(
-            variables,
-            {tuple(x - y for x, y in zip(e, be)): _norm_coeff(c * inv) for e, c in a.terms.items()},
-        )
-
-    # main variable: one along which the divisor actually spreads
-    spread = [
-        (max(e[i] for e in b.terms) - min(e[i] for e in b.terms), i)
-        for i in range(len(variables))
-    ]
-    width, axis = max(spread)
-    assert width > 0  # b has >= 2 terms, so some axis spreads
-
-    rest = tuple(v for i, v in enumerate(variables) if i != axis)
-
-    def split(p: LaurentPoly) -> dict[int, LaurentPoly]:
-        slices: dict[int, dict] = {}
-        for e, c in p.terms.items():
-            key = tuple(x for i, x in enumerate(e) if i != axis)
-            slices.setdefault(e[axis], {})[key] = c
-        return {k: LaurentPoly(rest, t) for k, t in slices.items()}
-
-    da = split(a)
-    db = split(b)
-    amin, bmin = min(da), min(db)
-    bdeg = max(db)
-    blead = db[bdeg]
-
-    quotient: dict[int, LaurentPoly] = {}
-    rem = {k - amin: v for k, v in da.items()}
-    db0 = {k - bmin: v for k, v in db.items()}
-    bdeg -= bmin
+    variable = a._common(b)
+    bterms = b.terms
+    top = max(bterms)
+    lead = bterms[top]
+    rem = dict(a.terms)
+    low = min(rem, default=0) - min(bterms)
+    out = {}
     while rem:
-        adeg = max(rem)
-        if adeg < bdeg:
+        shift = max(rem) - top
+        if shift < low:
             raise ExactDivisionError(f"{a} is not divisible by {b}")
-        q = exact_div(rem[adeg], blead)
-        quotient[adeg - bdeg] = q
-        for k, coef in db0.items():
-            tgt = adeg - bdeg + k
-            new = rem.get(tgt, LaurentPoly(rest, {})) - q * coef
-            if new.is_zero():
-                rem.pop(tgt, None)
-            else:
-                rem[tgt] = new
-
-    shift = amin - bmin
-    out: dict[tuple, object] = {}
-    for k, coefpoly in quotient.items():
-        for e, c in coefpoly.terms.items():
-            full = list(e)
-            full.insert(axis, k + shift)
-            out[tuple(full)] = c
-    return LaurentPoly(variables, out)
-
-
-def substitute_hom(p: LaurentPoly, name: str, image: LaurentPoly) -> LaurentPoly:
-    return p.substitute_hom(name, image)
+        c = out[shift] = _div_coeff(rem.pop(shift + top), lead)
+        for e, bc in bterms.items():
+            if e != top:
+                k = e + shift
+                v = rem.get(k, 0) - c * bc
+                if v:
+                    rem[k] = v
+                else:
+                    del rem[k]
+    return LaurentPoly._make(variable, out)
 
 
 @dataclass(frozen=True)
@@ -589,9 +501,8 @@ class RingMatrix:
         }
 
     @staticmethod
-    def from_json(data: dict, variables: Iterable[str] = ()) -> "RingMatrix":
+    def from_json(data: dict, variable: str | None = None) -> "RingMatrix":
         grid = tuple(
-            tuple(LaurentPoly.parse(s, variables) for s in row) for row in data["entries"]
+            tuple(LaurentPoly.parse(s, variable) for s in row) for row in data["entries"]
         )
-        m = RingMatrix(data["rows"], data["cols"], grid)
-        return m
+        return RingMatrix(data["rows"], data["cols"], grid)

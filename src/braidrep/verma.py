@@ -22,9 +22,8 @@ formulas.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import comb
 
 GENERATORS = ("H", "E", "F")
@@ -133,12 +132,24 @@ class WeightBasis:
     m: int
     lam: object
     indices: tuple
+    _positions: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_positions", {idx: k for k, idx in enumerate(self.indices)})
 
     def __len__(self):
         return len(self.indices)
 
     def position(self, index) -> int:
-        return self.indices.index(tuple(index))
+        return self._positions[tuple(index)]
+
+
+def _compositions(n: int, m: int):
+    """Compositions (j_1, ..., j_n) of m into non-negative parts, in
+    lexicographic order."""
+    if n == 1:
+        return [(m,)]
+    return [(first,) + rest for first in range(m + 1) for rest in _compositions(n - 1, m - first)]
 
 
 def weight_space_basis(n: int, lam, m: int) -> WeightBasis:
@@ -146,8 +157,7 @@ def weight_space_basis(n: int, lam, m: int) -> WeightBasis:
         raise ValueError("need at least one tensor factor")
     if m < 0:
         return WeightBasis(n, m, as_scalar(lam), ())
-    indices = tuple(j for j in product(range(m + 1), repeat=n) if sum(j) == m)
-    return WeightBasis(n, m, as_scalar(lam), indices)
+    return WeightBasis(n, m, as_scalar(lam), tuple(_compositions(n, m)))
 
 
 def weight_dim(n: int, m: int) -> int:
@@ -170,7 +180,7 @@ def tensor_generator_matrix(generator: str, n: int, lam, m: int):
     delta = {"F": 1, "E": -1, "H": 0}[generator]
     dom = weight_space_basis(n, lam, m)
     cod = weight_space_basis(n, lam, m + delta)
-    pos = {idx: k for k, idx in enumerate(cod.indices)}
+    pos = cod._positions
     mat = _zero_matrix(len(cod), len(dom), lam)
     for col, idx in enumerate(dom.indices):
         for leg in range(n):
@@ -220,7 +230,7 @@ def omega_matrix(n: int, i: int, j: int, lam, m: int) -> OmegaMatrix:
         raise ValueError(f"bad leg pair ({i}, {j}) for n={n}")
     lam = as_scalar(lam)
     basis = weight_space_basis(n, lam, m)
-    pos = {idx: k for k, idx in enumerate(basis.indices)}
+    pos = basis._positions
     mat = _zero_matrix(len(basis), len(basis), lam)
     pairs = omega_coefficients()
     for col, idx in enumerate(basis.indices):
@@ -245,7 +255,7 @@ def leg_permutation_matrix(n: int, lam, m: int, images) -> list:
     """
     lam = as_scalar(lam)
     basis = weight_space_basis(n, lam, m)
-    pos = {idx: k for k, idx in enumerate(basis.indices)}
+    pos = basis._positions
     zero, one = lam - lam, lam - lam + 1
     mat = [[zero for _ in range(len(basis))] for _ in range(len(basis))]
     for col, idx in enumerate(basis.indices):

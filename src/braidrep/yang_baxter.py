@@ -23,6 +23,9 @@ SIZE_CAP = 4096
 
 Q = LaurentPoly.var("q")
 
+# the variable each exact ring tag allows besides constants
+_RING_VARIABLES = {"rational": None, "laurent:q": "q"}
+
 
 class YangBaxterError(ValueError):
     """Raised when an operation requires an r-matrix that fails the YBE."""
@@ -45,10 +48,15 @@ class RMatrixSpec:
             if np.linalg.cond(m) > 1e12:
                 raise ValueError("r-matrix is numerically singular")
             object.__setattr__(self, "matrix", m)
-        elif self.ring in ("rational", "laurent:q"):
+        elif self.ring in _RING_VARIABLES:
             m = self.matrix
             if not isinstance(m, RingMatrix) or (m.rows, m.cols) != (d2, d2):
                 raise ValueError(f"expected an exact {d2}x{d2} RingMatrix")
+            allowed = (None, _RING_VARIABLES[self.ring])
+            for row in m.entries:
+                for p in row:
+                    if p.variable not in allowed:
+                        raise ValueError(f"entry {p} is not in the {self.ring!r} ring")
             det = m.det()
             if not det.is_monomial():
                 raise ValueError(f"determinant {det} is not a unit of the coefficient ring")
@@ -148,8 +156,8 @@ def rq_r() -> RMatrixSpec:
     e_2 (x) e_1 -> e_1 (x) e_2 + (q - q^-1) e_2 (x) e_1.
     """
     qinv = Q.unit_inverse()
-    zero = LaurentPoly.constant(0, ("q",))
-    one = LaurentPoly.constant(1, ("q",))
+    zero = LaurentPoly.constant(0)
+    one = LaurentPoly.constant(1)
     m = RingMatrix.from_rows(
         [
             [Q, zero, zero, zero],
@@ -297,8 +305,8 @@ def r_matrix_from_json(data: dict) -> RMatrixSpec:
     if ring == "complex":
         m = np.asarray([[complex(re, im) for re, im in row] for row in raw])
         return RMatrixSpec(d, ring, m)
-    variables = ("q",) if ring == "laurent:q" else ()
-    grid = tuple(tuple(LaurentPoly.parse(s, variables) for s in row) for row in raw)
+    variable = _RING_VARIABLES.get(ring)
+    grid = tuple(tuple(LaurentPoly.parse(s, variable) for s in row) for row in raw)
     return RMatrixSpec(d, ring, RingMatrix(d * d, d * d, grid))
 
 

@@ -106,8 +106,8 @@ def test_criterion_03_knot_values_with_skein_oracle():
         # time (figure-eight via s1 s2^-1 s1 s2^-1 resolved at its second
         # letter, whose L+ closes to an unknot and L0 to a Hopf link).
         skein = SINV - S
-        unknot = LaurentPoly.constant(1, ("s",))
-        unlink2 = LaurentPoly.constant(0, ("s",))
+        unknot = LaurentPoly.constant(1)
+        unlink2 = LaurentPoly.constant(0)
         hopf = unlink2 + skein * unknot
         trefoil = unknot + skein * hopf
         fig8 = unknot - skein * hopf

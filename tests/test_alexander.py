@@ -101,7 +101,7 @@ def test_torus_family_recursion():
     # nabla_k = nabla_{k-2} + (s^-1 - s) nabla_{k-1}, seeded by the 2-unlink
     # and the unknot; an infinite family checked independently of Burau
     z = SINV - S
-    expected = [LaurentPoly.constant(0, ("s",)), LaurentPoly.constant(1, ("s",))]
+    expected = [LaurentPoly.constant(0), LaurentPoly.constant(1)]
     for k in range(2, 13):
         expected.append(expected[k - 2] + z * expected[k - 1])
     for k in range(13):

@@ -43,7 +43,7 @@ def test_burau_output_roundtrips(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["reduced"] is True
-    matrix = RingMatrix.from_json(payload["matrix"], ("t",))
+    matrix = RingMatrix.from_json(payload["matrix"], "t")
     assert matrix.rows == matrix.cols == 2
     for row in payload["matrix"]["entries"]:
         for entry in row:
@@ -60,6 +60,30 @@ def test_ybe_builtin_and_file(tmp_path, capsys):
     code, out = run_cli(capsys, "ybe", "--file", str(path))
     assert code == 0
     assert json.loads(out)["braid_ybe"] == 0.0
+
+
+_RQ_ENTRIES = [["q", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "1", "q - q^-1", "0"], ["0", "0", "0", "q"]]
+
+
+def _ybe_file(tmp_path, capsys, ring, matrix):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"dim": 2, "ring": ring, "matrix": matrix}))
+    code, out = run_cli(capsys, "ybe", "--file", str(path))
+    return code, json.loads(out)
+
+
+def test_ybe_file_rational_ring_rejects_q_entries(tmp_path, capsys):
+    code, payload = _ybe_file(tmp_path, capsys, "rational", _RQ_ENTRIES)
+    assert code == 1
+    assert "error" in payload
+
+
+def test_ybe_file_laurent_q_ring_rejects_other_variables(tmp_path, capsys):
+    entries = [list(row) for row in _RQ_ENTRIES]
+    entries[3][3] = "t"
+    code, payload = _ybe_file(tmp_path, capsys, "laurent:q", entries)
+    assert code == 1
+    assert "error" in payload
 
 
 def test_ybe_json_loader_roundtrip():

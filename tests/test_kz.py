@@ -284,7 +284,7 @@ def _evaluate_at(matrix, t0: complex) -> np.ndarray:
     """A Laurent matrix in t evaluated at the complex number t0."""
 
     def value(p):
-        return sum(complex(c) * t0 ** dict(zip(p.vars, e)).get("t", 0) for e, c in p.terms.items())
+        return sum(complex(c) * t0 ** e for e, c in p.terms.items())
 
     return np.array([[value(p) for p in row] for row in matrix.entries])
 

@@ -1,0 +1,26 @@
+"""Smoke test: the experiment scripts run from the repo root against the
+current package."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(*argv):
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_knot_table_runs():
+    proc = run_script("scripts/knot_table.py")
+    assert proc.returncode == 0, proc.stderr
+    trefoil = next(line for line in proc.stdout.splitlines() if line.startswith("trefoil"))
+    assert trefoil.endswith("nabla = s^-2 - 1 + s^2")
+
+
+def test_kz_convergence_runs():
+    proc = run_script("scripts/kz_convergence.py", "--n", "3", "--m", "2")
+    assert proc.returncode == 0, proc.stderr

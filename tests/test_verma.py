@@ -3,6 +3,7 @@ combinatorics, and the Lie-algebra lemmas behind KZ flatness."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -266,3 +267,17 @@ def test_kernel_basis_exact_is_exact():
         # rank-nullity
         rank = cols - len(kernel)
         assert 0 <= rank <= min(rows, cols)
+
+
+def test_weight_basis_order_matches_product_filter():
+    for n in range(1, 6):
+        for m in range(5):
+            basis = weight_space_basis(n, Fraction(7, 3), m)
+            expected = tuple(j for j in product(range(m + 1), repeat=n) if sum(j) == m)
+            assert basis.indices == expected
+            assert [basis.position(j) for j in expected] == list(range(len(expected)))
+
+
+def test_weight_basis_large_n_without_scan():
+    # the (m+1)^n product filter would scan 5^14 tuples here
+    assert len(weight_space_basis(14, Fraction(7, 3), 4)) == 2380
