@@ -14,7 +14,6 @@ knot invariant the first one produces:
 
 from .alexander import ConwayResult, alexander_conway, markov_f, markov_invariance_check, skein_check
 from .burau import BurauImage, burau, conjugation_check, reduced_burau, reduced_generator, unreduced_generator
-from .kz import ConfigPath, KzSpec, MonodromyResult, generator_path, monodromy, nullspace_rep, parallel_transport
 from .laurent import ExactDivisionError, LaurentPoly, RingMatrix, exact_div
 from .verma import WeightBasis, casimir_eigenvalue, nullspace_basis, omega_matrix, tensor_act, verma_act, weight_space_basis
 from .words import (
@@ -32,6 +31,18 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# The KZ layer needs numpy; the exact layers do not, so it loads on first use.
+_KZ_NAMES = {"ConfigPath", "KzSpec", "MonodromyResult", "generator_path", "monodromy", "nullspace_rep", "parallel_transport"}
+
+
+def __getattr__(name: str):
+    if name in _KZ_NAMES:
+        from . import kz
+
+        return getattr(kz, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BraidWord",

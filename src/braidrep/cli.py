@@ -14,9 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import alexander, kz, verma, words, yang_baxter
+from . import alexander, verma, words
 from .burau import burau as burau_matrix
 from .burau import conjugation_check
 from .burau import reduced_burau as reduced_burau_matrix
@@ -34,7 +32,7 @@ def parse_weight(text: str):
     return Fraction(text)
 
 
-def complex_pairs(matrix: np.ndarray) -> list:
+def complex_pairs(matrix) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
@@ -73,18 +71,20 @@ def cmd_alexander(args) -> dict:
 
 
 _BUILTIN_R = {
-    "identity": lambda d: yang_baxter.identity_r(d),
-    "flip": lambda d: yang_baxter.flip_r(d),
-    "rq": lambda d: yang_baxter.rq_r(),
+    "identity": lambda yb, d: yb.identity_r(d),
+    "flip": lambda yb, d: yb.flip_r(d),
+    "rq": lambda yb, d: yb.rq_r(),
 }
 
 
 def cmd_ybe(args) -> dict:
+    from . import yang_baxter
+
     if args.file:
         with open(args.file) as fh:
             spec = yang_baxter.r_matrix_from_json(json.load(fh))
     else:
-        spec = _BUILTIN_R[args.builtin](args.dim)
+        spec = _BUILTIN_R[args.builtin](yang_baxter, args.dim)
     report = yang_baxter.check_quasitriangular_matrix_axioms(spec)
     return {
         "braid_ybe": report["braid_ybe"],
@@ -93,13 +93,20 @@ def cmd_ybe(args) -> dict:
     }
 
 
+def _check_level(m: int) -> None:
+    if m < 0:
+        raise ValueError(f"weight level --m must be non-negative, got {m}")
+
+
 def cmd_verma_dims(args) -> dict:
+    _check_level(args.m)
     lam = parse_weight(args.lam)
     null = verma.nullspace_basis(args.n, lam, args.m)
     return {"weight_dim": verma.weight_dim(args.n, args.m), "null_dim": len(null)}
 
 
 def cmd_verma_omega(args) -> dict:
+    _check_level(args.m)
     lam = parse_weight(args.lam)
     if not isinstance(lam, Fraction):
         raise ValueError("omega export needs a rational highest weight")
@@ -112,7 +119,9 @@ def cmd_verma_omega(args) -> dict:
     }
 
 
-def _kz_spec(args, restrict: bool) -> kz.KzSpec:
+def _kz_spec(args, restrict: bool):
+    from . import kz
+
     lam = parse_weight(args.lam)
     if (args.h is None) == (args.tau is None):
         raise ValueError("give exactly one of --h and --tau")
@@ -122,12 +131,18 @@ def _kz_spec(args, restrict: bool) -> kz.KzSpec:
 
 
 def cmd_kz_monodromy(args) -> dict:
+    from . import kz
+
     spec = _kz_spec(args, args.nullspace)
     result = kz.monodromy(spec, words.BraidWord.parse(args.word, args.n), args.tol)
     return {"matrix": complex_pairs(result.matrix), "est_error": result.est_error}
 
 
 def cmd_kz_check(args) -> dict:
+    import numpy as np
+
+    from . import kz
+
     spec = _kz_spec(args, False)
     if args.n >= 3:
         left = kz.monodromy(spec, words.BraidWord.parse("s1 s2 s1", args.n), args.tol)
@@ -166,6 +181,10 @@ def _random_word(rng: random.Random, n: int, max_len: int) -> words.BraidWord:
 
 
 def _selftest_checks(seed: int):
+    import numpy as np
+
+    from . import kz, yang_baxter
+
     rng = random.Random(seed)
 
     def words_check():

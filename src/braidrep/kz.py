@@ -157,6 +157,8 @@ class KzSpec:
             raise ValueError("give exactly one of h and tau")
         if self.n < 2:
             raise ValueError("need at least two strands")
+        if self.m < 0:
+            raise ValueError(f"weight level m must be non-negative, got {self.m}")
 
     @property
     def prefactor(self) -> complex:

@@ -505,4 +505,7 @@ class RingMatrix:
         grid = tuple(
             tuple(LaurentPoly.parse(s, variable) for s in row) for row in data["entries"]
         )
+        names = {p.variable for row in grid for p in row} - {None}
+        if len(names) > 1:
+            raise ValueError(f"matrix entries mix the variables {sorted(names)}")
         return RingMatrix(data["rows"], data["cols"], grid)

@@ -40,6 +40,8 @@ class RMatrixSpec:
     matrix: object  # RingMatrix for exact rings, complex ndarray otherwise
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"r-matrix dimension must be at least 1, got {self.dim}")
         d2 = self.dim * self.dim
         if self.ring == "complex":
             m = np.asarray(self.matrix, dtype=complex)

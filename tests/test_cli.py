@@ -1,8 +1,10 @@
 """CLI contract: documented invocations, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +207,76 @@ def test_verma_omega_export(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["matrix"]["entries"] == [["49/72"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verma", "dims", "--n", "2", "--m", "-1", "--lambda", "7/3"),
+        ("verma", "omega", "--n", "2", "--m", "-2", "--i", "1", "--j", "2", "--lambda", "7/3"),
+        ("kz", "monodromy", "--n", "3", "--m", "-1", "--lambda", "1/2", "--h", "0.1", "--word", "s1"),
+    ],
+    ids=["verma-dims", "verma-omega", "kz-monodromy"],
+)
+def test_negative_weight_level_is_an_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert "non-negative" in json.loads(out)["error"]
+
+
+def test_ybe_rejects_nonpositive_dimension(tmp_path, capsys):
+    code, out = run_cli(capsys, "ybe", "--builtin", "flip", "--dim", "-1")
+    assert code == 1
+    assert "r-matrix dimension" in json.loads(out)["error"]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"dim": -1, "ring": "rational", "matrix": [["1"]]}))
+    code, out = run_cli(capsys, "ybe", "--file", str(path))
+    assert code == 1
+    assert "r-matrix dimension" in json.loads(out)["error"]
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import braidrep, braidrep.cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["braid", "--n", "3", "s1 s2^-1"],
+        ["burau", "--n", "3", "s1 s2^-1"],
+        ["burau", "--n", "3", "--reduced", "s1 s2^-1"],
+        ["alexander", "--n", "2", "s1 s1 s1"],
+        ["verma", "dims", "--n", "3", "--m", "2", "--lambda", "7/3"],
+        ["verma", "omega", "--n", "3", "--m", "2", "--i", "1", "--j", "2", "--lambda", "7/3"],
+    ):
+        codes.append(braidrep.cli.main(argv))
+exact_loads_numpy = "numpy" in sys.modules
+resolved = all(getattr(braidrep, name, None) is not None for name in braidrep.__all__)
+try:
+    braidrep.no_such_name
+    unknown_raises = False
+except AttributeError:
+    unknown_raises = True
+print(json.dumps({
+    "codes": codes,
+    "exact_loads_numpy": exact_loads_numpy,
+    "all_names_resolve": resolved,
+    "kz_spec_is_kz_KzSpec": braidrep.KzSpec is braidrep.kz.KzSpec,
+    "unknown_raises": unknown_raises,
+}))
+"""
+
+
+def test_exact_subcommands_do_not_import_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [0] * 6,
+        "exact_loads_numpy": False,
+        "all_names_resolve": True,
+        "kz_spec_is_kz_KzSpec": True,
+        "unknown_raises": True,
+    }

@@ -238,3 +238,12 @@ def test_matrix_json_roundtrip():
     data = m.to_json()
     assert data["entries"][0][0] == "1 - t"
     assert RingMatrix.from_json(data) == m
+
+
+def test_matrix_json_rejects_mixed_variables():
+    data = {"rows": 1, "cols": 2, "entries": [["t", "s"]]}
+    with pytest.raises(ValueError, match="mix"):
+        RingMatrix.from_json(data)
+    # constants combine with either variable
+    mixed_const = RingMatrix.from_json({"rows": 1, "cols": 2, "entries": [["2", "1 - s"]]})
+    assert mixed_const.entries[0][1] == LaurentPoly.parse("1 - s")
