@@ -26,12 +26,13 @@ from typing import Callable
 import numpy as np
 
 from .verma import (
+    _null_vectors,
+    as_scalar,
     is_generic,
-    generic_null_dim,
     leg_permutation_matrix,
-    nullspace_basis,
     omega_matrix,
     weight_dim,
+    weight_space_basis,
 )
 from .words import BraidWord, Permutation, underlying_permutation
 
@@ -182,8 +183,13 @@ def _lam_complex(lam) -> complex:
 
 
 class KzSystem:
-    """Precomputed Omega placements (optionally nullspace-compressed) and
-    leg-swap operators for one KzSpec."""
+    """Precomputed Omega placements and leg-swap operators for one KzSpec.
+
+    With ``restrict_to_nullspace`` each operator X is compressed to the
+    nullspace basis B of ``nullspace_matrix``: X maps N[n lam - 2m] into
+    itself, so X B = B C, and since the first rows of B are the identity,
+    C is the first rows of X B.
+    """
 
     def __init__(self, spec: KzSpec):
         self.spec = spec
@@ -203,10 +209,9 @@ class KzSystem:
         }
         if spec.restrict_to_nullspace:
             basis = nullspace_matrix(n, spec.lam, m)
-            pinv = np.linalg.pinv(basis)
-            omegas = {key: pinv @ om @ basis for key, om in omegas.items()}
-            swaps = {i: pinv @ p @ basis for i, p in swaps.items()}
             self.dim = basis.shape[1]
+            omegas = {key: (om @ basis)[: self.dim] for key, om in omegas.items()}
+            swaps = {i: (p @ basis)[: self.dim] for i, p in swaps.items()}
         else:
             self.dim = weight_dim(n, m)
         self.omegas = omegas
@@ -226,28 +231,21 @@ class KzSystem:
 
 
 def nullspace_matrix(n: int, lam, m: int) -> np.ndarray:
-    """Columns spanning N[n lam - 2m] as a complex matrix; exact kernel for
-    rational weights, SVD kernel otherwise."""
-    if isinstance(lam, (int, Fraction)):
-        lam = Fraction(lam)
-        if not is_generic(lam, m):
-            raise ValueError(f"highest weight {lam} is degenerate for m={m}")
-        kernel = nullspace_basis(n, lam, m)
-        if len(kernel) != generic_null_dim(n, m):
-            raise ValueError(f"nullspace rank {len(kernel)} is not the generic value")
-        return np.asarray([[complex(float(x)) for x in vec] for vec in kernel]).T
-    from .verma import tensor_generator_matrix
-
-    e_mat = np.asarray(tensor_generator_matrix("E", n, complex(lam), m), dtype=complex)
-    if e_mat.size == 0:
-        return np.eye(weight_dim(n, m), dtype=complex)
-    _, sing, vh = np.linalg.svd(e_mat)
-    tolerance = max(e_mat.shape) * np.finfo(float).eps * (sing[0] if len(sing) else 1.0)
-    rank = int(np.sum(sing > tolerance))
-    kernel = vh[rank:].conj().T
-    if kernel.shape[1] != generic_null_dim(n, m):
-        raise ValueError(f"nullspace rank {kernel.shape[1]} is not the generic value")
-    return kernel
+    """Columns spanning N[n lam - 2m] as a complex matrix, for generic
+    rational or complex weights.  Column J is the null vector that is 1 at
+    the multi-index J with j_1 = 0 and 0 at every other such index; these
+    indices come first in the weight basis, so the top rows are the
+    identity.  Rational weights are solved exactly and then rounded."""
+    lam = as_scalar(lam)
+    if not is_generic(lam, m):
+        raise ValueError(f"highest weight {lam} is degenerate for m={m}")
+    basis = weight_space_basis(n, lam, m)
+    vectors = _null_vectors(n, lam, m)
+    out = np.zeros((len(basis), len(vectors)), dtype=complex)
+    for col, vector in enumerate(vectors):
+        for idx, c in vector.items():
+            out[basis.position(idx), col] = complex(c)
+    return out
 
 
 def connection_value(spec: KzSpec, point, velocity) -> np.ndarray:
@@ -273,6 +271,8 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 def _transport_segment(afun, psi: np.ndarray, tol: float):
     """Integrate Psi' = A(s) Psi over s in [0,1] with adaptive embedded
     Dormand-Prince steps; deterministic acceptance, mixed abs/rel control."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     s = 0.0
     hstep = 0.1
     est = 0.0
@@ -313,8 +313,6 @@ def _transport_segment(afun, psi: np.ndarray, tol: float):
 
 def parallel_transport(spec: KzSpec, path: ConfigPath, tol: float = 1e-9) -> MonodromyResult:
     """Parallel transport along a path, starting from the identity frame."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     system = KzSystem(spec)
     psi = np.eye(system.dim, dtype=complex)
     est = 0.0

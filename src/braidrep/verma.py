@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 GENERATORS = ("H", "E", "F")
@@ -93,6 +94,9 @@ def _invert_fraction_matrix(m):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+_OMEGA_PAIRS = tuple(omega_coefficients().items())
 
 
 def as_scalar(lam):
@@ -168,9 +172,25 @@ def generic_null_dim(n: int, m: int) -> int:
     return weight_dim(n, m) - weight_dim(n, m - 1)
 
 
-def _zero_matrix(rows, cols, lam):
-    z = lam - lam  # zero in lam's arithmetic
-    return [[z for _ in range(cols)] for _ in range(rows)]
+def _accumulate(out: dict, idx, value) -> None:
+    """Add value at idx of a sparse vector, dropping entries that cancel."""
+    total = out.get(idx, 0) + value
+    if total:
+        out[idx] = total
+    else:
+        out.pop(idx, None)
+
+
+def _dense_block(action, dom: WeightBasis, cod: WeightBasis) -> list:
+    """Matrix (list of rows) of a sparse action from dom to cod: column J is
+    the image of the unit vector at J, and absent entries are lam's zero."""
+    zero = dom.lam - dom.lam
+    one = zero + 1
+    mat = [[zero] * len(dom) for _ in range(len(cod))]
+    for col, idx in enumerate(dom.indices):
+        for tgt, c in action({idx: one}).items():
+            mat[cod.position(tgt)][col] = c
+    return mat
 
 
 def tensor_generator_matrix(generator: str, n: int, lam, m: int):
@@ -180,14 +200,7 @@ def tensor_generator_matrix(generator: str, n: int, lam, m: int):
     delta = {"F": 1, "E": -1, "H": 0}[generator]
     dom = weight_space_basis(n, lam, m)
     cod = weight_space_basis(n, lam, m + delta)
-    pos = cod._positions
-    mat = _zero_matrix(len(cod), len(dom), lam)
-    for col, idx in enumerate(dom.indices):
-        for leg in range(n):
-            for jnew, coeff in verma_act(generator, idx[leg], lam):
-                tgt = idx[:leg] + (jnew,) + idx[leg + 1 :]
-                mat[pos[tgt]][col] += coeff
-    return mat
+    return _dense_block(lambda v: tensor_act(generator, v, n, lam, m), dom, cod)
 
 
 def tensor_act(generator: str, vector: dict, n: int, lam, m: int) -> dict:
@@ -201,12 +214,22 @@ def tensor_act(generator: str, vector: dict, n: int, lam, m: int) -> dict:
             raise ValueError(f"index {idx} is not a degree-{m} multi-index of length {n}")
         for leg in range(n):
             for jnew, c in verma_act(generator, idx[leg], lam):
-                tgt = idx[:leg] + (jnew,) + idx[leg + 1 :]
-                val = out.get(tgt, 0) + coeff * c
-                if val:
-                    out[tgt] = val
-                else:
-                    out.pop(tgt, None)
+                _accumulate(out, idx[:leg] + (jnew,) + idx[leg + 1 :], coeff * c)
+    return out
+
+
+def _omega_act(vector: dict, legs, lam) -> dict:
+    """Sum of the Omega placements on the leg pairs ``legs`` (1-based, i < j),
+    applied to a weight vector {multi-index: coeff}.  H(x)H acts diagonally;
+    E(x)F and F(x)E move one lowering degree between the two legs."""
+    out: dict = {}
+    for i, j in legs:
+        for idx, coeff in vector.items():
+            for (xa, xb), c in _OMEGA_PAIRS:
+                for ja, ca in verma_act(xa, idx[i - 1], lam):
+                    for jb, cb in verma_act(xb, idx[j - 1], lam):
+                        tgt = idx[: i - 1] + (ja,) + idx[i : j - 1] + (jb,) + idx[j:]
+                        _accumulate(out, tgt, coeff * c * ca * cb)
     return out
 
 
@@ -220,31 +243,13 @@ class OmegaMatrix:
 
 
 def omega_matrix(n: int, i: int, j: int, lam, m: int) -> OmegaMatrix:
-    """Exact matrix of Omega acting on legs (i, j) of W[n lam - 2m].
-
-    Built directly from the Killing-form coefficients: H(x)H acts
-    diagonally, E(x)F and F(x)E move one lowering degree between the two
-    legs, so the weight space is preserved.
-    """
+    """Exact matrix of Omega acting on legs (i, j) of W[n lam - 2m]."""
     if not (1 <= i < j <= n):
         raise ValueError(f"bad leg pair ({i}, {j}) for n={n}")
     lam = as_scalar(lam)
     basis = weight_space_basis(n, lam, m)
-    pos = basis._positions
-    mat = _zero_matrix(len(basis), len(basis), lam)
-    pairs = omega_coefficients()
-    for col, idx in enumerate(basis.indices):
-        for (xa, xb), c in pairs.items():
-            for ja, ca in verma_act(xa, idx[i - 1], lam):
-                for jb, cb in verma_act(xb, idx[j - 1], lam):
-                    tgt = list(idx)
-                    tgt[i - 1] = ja
-                    tgt[j - 1] = jb
-                    row = pos.get(tuple(tgt))
-                    if row is None:
-                        continue  # moved out of the graded piece (cannot happen for Omega)
-                    mat[row][col] += c * ca * cb
-    return OmegaMatrix(i, j, tuple(tuple(r) for r in mat))
+    block = _dense_block(lambda v: _omega_act(v, [(i, j)], lam), basis, basis)
+    return OmegaMatrix(i, j, tuple(tuple(r) for r in block))
 
 
 def leg_permutation_matrix(n: int, lam, m: int, images) -> list:
@@ -253,17 +258,11 @@ def leg_permutation_matrix(n: int, lam, m: int, images) -> list:
     ``images`` are 1-based images of legs 1..n; the basis vector with
     multi-index J maps to the one with entries J'_k = J_{perm^{-1}(k)}.
     """
-    lam = as_scalar(lam)
-    basis = weight_space_basis(n, lam, m)
-    pos = basis._positions
-    zero, one = lam - lam, lam - lam + 1
-    mat = [[zero for _ in range(len(basis))] for _ in range(len(basis))]
-    for col, idx in enumerate(basis.indices):
-        tgt = [0] * n
-        for leg in range(n):
-            tgt[images[leg] - 1] = idx[leg]
-        mat[pos[tuple(tgt)]][col] = one
-    return mat
+    basis = weight_space_basis(n, as_scalar(lam), m)
+    source = {image - 1: leg for leg, image in enumerate(images)}
+    return _dense_block(
+        lambda v: {tuple(idx[source[k]] for k in range(n)): c for idx, c in v.items()}, basis, basis
+    )
 
 
 # -- exact linear algebra over Fractions -------------------------------------
@@ -310,109 +309,100 @@ def is_generic(lam, m: int) -> bool:
     return all(abs(lam - k) > 1e-9 for k in range(2 * m + 1))
 
 
+def _null_vectors(n: int, lam, m: int) -> list:
+    """Basis of ker E on W[m] for lam outside {0, ..., m-1}, as sparse
+    vectors: one per multi-index J with j_1 = 0, equal to 1 at J and 0 at
+    every other index with j_1 = 0.  Runs on Fraction and complex lam alike.
+
+    E lowers j_1 only through leg 1, which sends (k+1, J') to (k, J') with
+    coefficient (k+1)(lam-k); legs 2..n keep j_1.  So the part of E v at
+    j_1 = k fixes the layer j_1 = k+1 of v from layer k by one division.
+    """
+    one = lam - lam + 1
+    out = []
+    for start in weight_space_basis(n, lam, m).indices:
+        if start[0]:
+            break  # lexicographic order puts the j_1 = 0 indices first
+        vector = {start: one}
+        layer = {start[1:]: one}  # legs 2..n of the layer j_1 = k
+        for k in range(m):
+            pivot = (k + 1) * (lam - k)
+            lowered = tensor_act("E", layer, n - 1, lam, m - k)
+            layer = {rest: -c / pivot for rest, c in lowered.items()}
+            vector.update({(k + 1,) + rest: c for rest, c in layer.items()})
+        out.append(vector)
+    return out
+
+
 def nullspace_basis(n: int, lam, m: int) -> list:
     """Basis of N[n lam - 2m] = ker E inside W[n lam - 2m], exact over
-    rationals.  Warns if the rank differs from the generic count."""
+    rationals, as coordinate tuples in weight-basis order.
+
+    At the integers lam in {0, ..., m-1}, where the rank can drop, the kernel
+    comes from Gauss-Jordan elimination and a rank different from the
+    generic value warns; every other weight takes the triangular solve."""
     lam = as_scalar(lam)
     if not isinstance(lam, Fraction):
         raise TypeError("exact nullspace needs a rational highest weight")
-    e_mat = tensor_generator_matrix("E", n, lam, m)
-    kernel = kernel_basis_exact(e_mat, weight_dim(n, m))
-    expected = generic_null_dim(n, m)
-    if len(kernel) != expected:
-        warnings.warn(
-            f"nullspace at lam={lam}, n={n}, m={m} has dimension {len(kernel)} "
-            f"(generic value {expected})",
-            DegenerateWeightWarning,
-        )
+    basis = weight_space_basis(n, lam, m)
+    if lam.denominator == 1 and 0 <= lam < m:
+        kernel = kernel_basis_exact(tensor_generator_matrix("E", n, lam, m), len(basis))
+        expected = generic_null_dim(n, m)
+        if len(kernel) != expected:
+            warnings.warn(
+                f"nullspace at lam={lam}, n={n}, m={m} has dimension {len(kernel)} "
+                f"(generic value {expected})",
+                DegenerateWeightWarning,
+            )
+        return kernel
+    kernel = []
+    for vector in _null_vectors(n, lam, m):
+        coords = [Fraction(0)] * len(basis)
+        for idx, c in vector.items():
+            coords[basis.position(idx)] = c
+        kernel.append(tuple(coords))
     return kernel
 
 
-# -- matrix helpers and relation checks ---------------------------------------
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    cols_b = len(b[0])
-    inner = len(b)
-    return [
-        [sum(row[k] * b[k][c] for k in range(inner)) for c in range(cols_b)]
-        for row in a
-    ]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
+# -- relation checks, by exact sparse composition on every basis vector ------
 
 def kd_relation_check(n: int, lam, m: int) -> bool:
     """Kohno-Drinfeld relations for the Omega placements on W[m]:
     disjoint pairs commute, and [O_ij, O_ik + O_jk] = 0 for all triples."""
     lam = as_scalar(lam)
-    omegas = {
-        (i, j): [list(r) for r in omega_matrix(n, i, j, lam, m).block]
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    }
-    pairs = list(omegas)
-    for a in pairs:
-        for b in pairs:
-            if len({*a, *b}) == 4 and not mat_is_zero(commutator(omegas[a], omegas[b])):
+    one = lam - lam + 1
+    pairs = list(combinations(range(1, n + 1), 2))
+    relations = [([a], [b]) for a, b in combinations(pairs, 2) if len({*a, *b}) == 4]
+    for i, j, k in combinations(range(1, n + 1), 3):
+        ij, ik, jk = (i, j), (i, k), (j, k)
+        relations += [([ij], [ik, jk]), ([ik], [ij, jk]), ([jk], [ij, ik])]
+    for idx in weight_space_basis(n, lam, m).indices:
+        unit = {idx: one}
+        for a, b in relations:
+            ab = _omega_act(_omega_act(unit, b, lam), a, lam)
+            if ab != _omega_act(_omega_act(unit, a, lam), b, lam):
                 return False
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                o_ij, o_ik, o_jk = omegas[(i, j)], omegas[(i, k)], omegas[(j, k)]
-                for left, rest in (
-                    (o_ij, mat_add(o_ik, o_jk)),
-                    (o_ik, mat_add(o_ij, o_jk)),
-                    (o_jk, mat_add(o_ij, o_ik)),
-                ):
-                    if not mat_is_zero(commutator(left, rest)):
-                        return False
     return True
 
 
 def equivariance_check(n: int, lam, m: int) -> bool:
     """[Omega^{ij}, coproduct action of x] = 0 for x in {E, F, H}, checked
-    on the rectangular blocks W[m] -> W[m -+ 2 delta]; consequently the
-    Omega operators map nullvectors to nullvectors (asserted directly for
-    rational weights)."""
+    from W[m]; consequently the Omega operators map nullvectors to
+    nullvectors (asserted directly for rational weights)."""
     lam = as_scalar(lam)
-    deltas = {"F": 1, "E": -1, "H": 0}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            om_dom = [list(r) for r in omega_matrix(n, i, j, lam, m).block]
-            for x, d in deltas.items():
-                if m + d < 0:
-                    continue
-                act = tensor_generator_matrix(x, n, lam, m)
-                om_cod = [list(r) for r in omega_matrix(n, i, j, lam, m + d).block]
-                lhs = mat_mul(om_cod, act)
-                rhs = mat_mul(act, om_dom)
-                if not mat_is_zero(mat_sub(lhs, rhs)):
+    one = lam - lam + 1
+    basis = weight_space_basis(n, lam, m)
+    placements = [[p] for p in combinations(range(1, n + 1), 2)]
+    for legs in placements:
+        for idx in basis.indices:
+            unit = {idx: one}
+            for x in GENERATORS:
+                lhs = _omega_act(tensor_act(x, unit, n, lam, m), legs, lam)
+                if lhs != tensor_act(x, _omega_act(unit, legs, lam), n, lam, m):
                     return False
     if isinstance(lam, Fraction):
-        null = nullspace_basis(n, lam, m)
-        e_mat = tensor_generator_matrix("E", n, lam, m)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                om = omega_matrix(n, i, j, lam, m).block
-                for v in null:
-                    image = [sum(row[k] * v[k] for k in range(len(v))) for row in om]
-                    pushed = [sum(row[k] * image[k] for k in range(len(image))) for row in e_mat]
-                    if any(pushed):
-                        return False
+        for v in nullspace_basis(n, lam, m):
+            vector = {idx: c for idx, c in zip(basis.indices, v) if c}
+            if any(tensor_act("E", _omega_act(vector, legs, lam), n, lam, m) for legs in placements):
+                return False
     return True

@@ -31,6 +31,11 @@ class YangBaxterError(ValueError):
     """Raised when an operation requires an r-matrix that fails the YBE."""
 
 
+def _check_dim(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"r-matrix dimension must be at least 1, got {d}")
+
+
 @dataclass(frozen=True)
 class RMatrixSpec:
     """An automorphism of V (x) V given by its matrix in the product basis."""
@@ -40,8 +45,7 @@ class RMatrixSpec:
     matrix: object  # RingMatrix for exact rings, complex ndarray otherwise
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"r-matrix dimension must be at least 1, got {self.dim}")
+        _check_dim(self.dim)
         d2 = self.dim * self.dim
         if self.ring == "complex":
             m = np.asarray(self.matrix, dtype=complex)
@@ -134,6 +138,7 @@ def _mul(*ms):
 # -- bundled r-matrices ----------------------------------------------------
 
 def identity_r(d: int = 2) -> RMatrixSpec:
+    _check_dim(d)
     return RMatrixSpec(d, "rational", RingMatrix.identity(d * d))
 
 
@@ -148,6 +153,7 @@ def flip_matrix(d: int) -> RingMatrix:
 
 
 def flip_r(d: int = 2) -> RMatrixSpec:
+    _check_dim(d)
     return RMatrixSpec(d, "rational", flip_matrix(d))
 
 

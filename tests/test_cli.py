@@ -224,10 +224,20 @@ def test_negative_weight_level_is_an_error(capsys, argv):
     assert "non-negative" in json.loads(out)["error"]
 
 
-def test_ybe_rejects_nonpositive_dimension(tmp_path, capsys):
-    code, out = run_cli(capsys, "ybe", "--builtin", "flip", "--dim", "-1")
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", [("monodromy", "--word", "s1 s2"), ("check",)], ids=["monodromy", "check"])
+def test_kz_rejects_bad_tolerance(capsys, command, tol):
+    argv = ("kz", command[0], "--n", "3", "--m", "1", "--lambda", "1/2", "--h", "0.1", *command[1:])
+    code, out = run_cli(capsys, *argv, f"--tol={tol}")
     assert code == 1
-    assert "r-matrix dimension" in json.loads(out)["error"]
+    assert "tolerance" in json.loads(out)["error"]
+
+
+def test_ybe_rejects_nonpositive_dimension(tmp_path, capsys):
+    for builtin, dim in (("flip", "-1"), ("flip", "0"), ("identity", "0")):
+        code, out = run_cli(capsys, "ybe", "--builtin", builtin, "--dim", dim)
+        assert code == 1
+        assert "r-matrix dimension" in json.loads(out)["error"]
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"dim": -1, "ring": "rational", "matrix": [["1"]]}))
     code, out = run_cli(capsys, "ybe", "--file", str(path))

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 from braidrep.burau import reduced_burau
 from braidrep.kz import (
     KzSpec,
+    KzSystem,
     connection_value,
     curvature_form,
     flatness_residual,
@@ -315,3 +316,28 @@ def test_nullspace_rep_at_m1_is_reduced_burau(n, lam, tau):
         # the trace-form normalization, t0^4, does not match
         wrong = c ** exponent_sum(w) * _evaluate_at(burau_value, t0 ** 4)
         assert not np.allclose(np.poly(kz_matrix), np.poly(wrong), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("lam", [1 + 0j, 3 + 0j])
+def test_nullspace_matrix_rejects_degenerate_complex_weight(lam):
+    with pytest.raises(ValueError):
+        nullspace_matrix(3, lam, 2)
+
+
+@pytest.mark.parametrize("lam", [Fraction(7, 3), 0.4 - 0.3j])
+def test_compressed_operators_are_exact_restrictions(lam):
+    # X B = B C for every Omega and leg swap X, where C is the compressed
+    # operator: the top rows of B are the identity
+    n, m = 4, 2
+    system = KzSystem(KzSpec(n, lam, m, h=H_SMALL, restrict_to_nullspace=True))
+    basis = nullspace_matrix(n, lam, m)
+    assert np.array_equal(basis[: system.dim], np.eye(system.dim))
+    lam_c = complex(lam)
+    for (i, j), compressed in system.omegas.items():
+        om = np.asarray(omega_matrix(n, i, j, lam_c, m).block, dtype=complex)
+        assert np.max(np.abs(om @ basis - basis @ compressed)) < 1e-12
+    for i, compressed in system.swaps.items():
+        images = list(range(1, n + 1))
+        images[i - 1], images[i] = i + 1, i
+        swap = np.asarray(leg_permutation_matrix(n, lam_c, m, images), dtype=complex)
+        assert np.max(np.abs(swap @ basis - basis @ compressed)) < 1e-12

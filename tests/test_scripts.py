@@ -24,3 +24,6 @@ def test_knot_table_runs():
 def test_kz_convergence_runs():
     proc = run_script("scripts/kz_convergence.py", "--n", "3", "--m", "2")
     assert proc.returncode == 0, proc.stderr
+    row = next(line.split() for line in proc.stdout.splitlines() if line.split()[:1] == ["1e-09"])
+    full_residual, nullspace_residual = float(row[1]), float(row[3])
+    assert full_residual <= 1e-6 and nullspace_residual <= 1e-6

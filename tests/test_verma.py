@@ -17,10 +17,6 @@ from braidrep.verma import (
     kernel_basis_exact,
     killing_matrix,
     leg_permutation_matrix,
-    mat_add,
-    mat_is_zero,
-    mat_mul,
-    mat_sub,
     nullspace_basis,
     omega_coefficients,
     omega_matrix,
@@ -42,6 +38,10 @@ AD_F = [[0, -1, 0], [0, 0, 0], [2, 0, 0]]
 
 def _trace_product(a, b):
     return sum(a[i][k] * b[k][i] for i in range(3) for k in range(3))
+
+
+def _product(a, b):
+    return [[sum(row[k] * b[k][c] for k in range(len(b))) for c in range(len(b[0]))] for row in a]
 
 
 def test_killing_form_against_hand_written_ad_matrices():
@@ -170,10 +170,10 @@ def test_omega_cross_term_coefficient():
 
 
 def test_omega_leg_conjugation():
-    o12 = [list(r) for r in omega_matrix(3, 1, 2, LAM, 1).block]
+    o12 = omega_matrix(3, 1, 2, LAM, 1).block
     o13 = [list(r) for r in omega_matrix(3, 1, 3, LAM, 1).block]
     p23 = leg_permutation_matrix(3, LAM, 1, (1, 3, 2))
-    assert mat_mul(mat_mul(p23, o12), p23) == o13
+    assert _product(_product(p23, o12), p23) == o13
 
 
 def test_nullspace_small_cases():
@@ -209,15 +209,14 @@ def test_kd_relations():
 def test_total_omega_is_central_among_omegas():
     n, m = 4, 2
     blocks = [
-        [list(r) for r in omega_matrix(n, i, j, LAM, m).block]
+        omega_matrix(n, i, j, LAM, m).block
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     ]
-    total = blocks[0]
-    for b in blocks[1:]:
-        total = mat_add(total, b)
+    dim = len(blocks[0])
+    total = [[sum(b[r][c] for b in blocks) for c in range(dim)] for r in range(dim)]
     for b in blocks:
-        assert mat_is_zero(mat_sub(mat_mul(total, b), mat_mul(b, total)))
+        assert _product(total, b) == _product(b, total)
 
 
 def test_equivariance():
@@ -236,9 +235,9 @@ def test_coproduct_casimir_lemma():
         f_up = tensor_generator_matrix("F", 2, lam, m)        # W[m] -> W[m+1]
         e_from_up = tensor_generator_matrix("E", 2, lam, m + 1)
         f_from_down = tensor_generator_matrix("F", 2, lam, m - 1) if m else []
-        hh = mat_mul(h, h)
-        ef = mat_mul(e_from_up, f_up)
-        fe = mat_mul(f_from_down, e_down) if m else [[Fraction(0)] * dim for _ in range(dim)]
+        hh = _product(h, h)
+        ef = _product(e_from_up, f_up)
+        fe = _product(f_from_down, e_down) if m else [[Fraction(0)] * dim for _ in range(dim)]
         delta_c = [
             [
                 hh[i][j] / 8 + (ef[i][j] + fe[i][j]) / 4
@@ -281,3 +280,61 @@ def test_weight_basis_order_matches_product_filter():
 def test_weight_basis_large_n_without_scan():
     # the (m+1)^n product filter would scan 5^14 tuples here
     assert len(weight_space_basis(14, Fraction(7, 3), 4)) == 2380
+
+
+def _as_dict(basis, coords):
+    return {idx: c for idx, c in zip(basis.indices, coords) if c}
+
+
+def _rank(vectors, cols):
+    return cols - len(kernel_basis_exact(vectors, cols)) if vectors else 0
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("n", range(2, 6))
+def test_triangular_nullspace_against_gauss_jordan(n, m):
+    basis = weight_space_basis(n, LAM, m)
+    dim = len(basis)
+    for lam in (Fraction(7, 3), Fraction(1, 2), Fraction(-3, 2), Fraction(m), Fraction(2 * m)):
+        kernel = nullspace_basis(n, lam, m)
+        reference = kernel_basis_exact(tensor_generator_matrix("E", n, lam, m), dim)
+        assert len(kernel) == len(reference) == generic_null_dim(n, m)
+        for v in kernel:
+            assert tensor_act("E", _as_dict(basis, v), n, lam, m) == {}
+        # both sets lie in ker E, so equal rank of their union means equal span
+        assert _rank(kernel + reference, dim) == len(kernel)
+
+
+def _combine(terms):
+    """Sum of the scaled sparse vectors c * v over the (c, v) pairs."""
+    out = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+@pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(1, 2)])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_omegas_and_leg_swaps_preserve_nullspace_exactly(lam, n):
+    # the basis vector b_J is 1 at its own j_1 = 0 index J and 0 at the other
+    # ones, and those indices come first, so X b = sum_J (X b)_J b_J exactly
+    for m in range(4):
+        kernel = [{k: x for k, x in enumerate(v) if x} for v in nullspace_basis(n, lam, m)]
+        ops = [omega_matrix(n, i, j, lam, m).block for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for i in range(1, n):
+            images = list(range(1, n + 1))
+            images[i - 1], images[i] = i + 1, i
+            ops.append(leg_permutation_matrix(n, lam, m, images))
+        for op in ops:
+            columns = [{r: row[c] for r, row in enumerate(op) if row[c]} for c in range(len(op))]
+            for b in kernel:
+                image = _combine((x, columns[k]) for k, x in b.items())
+                assert image == _combine((image[k], kernel[k]) for k in range(len(kernel)) if k in image)
+
+
+def test_verma_dims_at_twelve_strands(capsys):
+    from braidrep.cli import main
+
+    assert main(["verma", "dims", "--n", "12", "--m", "4", "--lambda", "1/3"]) == 0
+    assert capsys.readouterr().out == '{"weight_dim": 1365, "null_dim": 1001}\n'
