@@ -268,11 +268,14 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
 def _transport_segment(afun, psi: np.ndarray, tol: float):
     """Integrate Psi' = A(s) Psi over s in [0,1] with adaptive embedded
     Dormand-Prince steps; deterministic acceptance, mixed abs/rel control."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     s = 0.0
     hstep = 0.1
     est = 0.0
@@ -313,6 +316,7 @@ def _transport_segment(afun, psi: np.ndarray, tol: float):
 
 def parallel_transport(spec: KzSpec, path: ConfigPath, tol: float = 1e-9) -> MonodromyResult:
     """Parallel transport along a path, starting from the identity frame."""
+    _check_tolerance(tol)
     system = KzSystem(spec)
     psi = np.eye(system.dim, dtype=complex)
     est = 0.0
@@ -328,6 +332,7 @@ def parallel_transport(spec: KzSpec, path: ConfigPath, tol: float = 1e-9) -> Mon
 def monodromy(spec: KzSpec, w: BraidWord, tol: float = 1e-9) -> MonodromyResult:
     """Holonomy of a braid word: per letter, transport along the half-turn
     path composed with the leg swap; letters act first-to-last."""
+    _check_tolerance(tol)
     if w.n != spec.n:
         raise ValueError(f"word on {w.n} strands does not match spec n={spec.n}")
     system = KzSystem(spec)

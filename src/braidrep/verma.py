@@ -101,6 +101,8 @@ _OMEGA_PAIRS = tuple(omega_coefficients().items())
 
 def as_scalar(lam):
     """Normalize a highest weight to Fraction (exact) or complex (numeric)."""
+    if type(lam) in (Fraction, complex):
+        return lam
     if isinstance(lam, (int, Fraction)):
         return Fraction(lam)
     return complex(lam)
@@ -334,6 +336,14 @@ def _null_vectors(n: int, lam, m: int) -> list:
     return out
 
 
+def _rational_weight(lam) -> Fraction:
+    """``lam`` as a Fraction; exact results need a rational highest weight."""
+    lam = as_scalar(lam)
+    if not isinstance(lam, Fraction):
+        raise TypeError(f"exact Verma computations need a rational highest weight, got {lam}")
+    return lam
+
+
 def nullspace_basis(n: int, lam, m: int) -> list:
     """Basis of N[n lam - 2m] = ker E inside W[n lam - 2m], exact over
     rationals, as coordinate tuples in weight-basis order.
@@ -341,9 +351,7 @@ def nullspace_basis(n: int, lam, m: int) -> list:
     At the integers lam in {0, ..., m-1}, where the rank can drop, the kernel
     comes from Gauss-Jordan elimination and a rank different from the
     generic value warns; every other weight takes the triangular solve."""
-    lam = as_scalar(lam)
-    if not isinstance(lam, Fraction):
-        raise TypeError("exact nullspace needs a rational highest weight")
+    lam = _rational_weight(lam)
     basis = weight_space_basis(n, lam, m)
     if lam.denominator == 1 and 0 <= lam < m:
         kernel = kernel_basis_exact(tensor_generator_matrix("E", n, lam, m), len(basis))
@@ -369,8 +377,8 @@ def nullspace_basis(n: int, lam, m: int) -> list:
 def kd_relation_check(n: int, lam, m: int) -> bool:
     """Kohno-Drinfeld relations for the Omega placements on W[m]:
     disjoint pairs commute, and [O_ij, O_ik + O_jk] = 0 for all triples."""
-    lam = as_scalar(lam)
-    one = lam - lam + 1
+    lam = _rational_weight(lam)
+    one = Fraction(1)
     pairs = list(combinations(range(1, n + 1), 2))
     relations = [([a], [b]) for a, b in combinations(pairs, 2) if len({*a, *b}) == 4]
     for i, j, k in combinations(range(1, n + 1), 3):
@@ -388,9 +396,9 @@ def kd_relation_check(n: int, lam, m: int) -> bool:
 def equivariance_check(n: int, lam, m: int) -> bool:
     """[Omega^{ij}, coproduct action of x] = 0 for x in {E, F, H}, checked
     from W[m]; consequently the Omega operators map nullvectors to
-    nullvectors (asserted directly for rational weights)."""
-    lam = as_scalar(lam)
-    one = lam - lam + 1
+    nullvectors."""
+    lam = _rational_weight(lam)
+    one = Fraction(1)
     basis = weight_space_basis(n, lam, m)
     placements = [[p] for p in combinations(range(1, n + 1), 2)]
     for legs in placements:
@@ -400,9 +408,8 @@ def equivariance_check(n: int, lam, m: int) -> bool:
                 lhs = _omega_act(tensor_act(x, unit, n, lam, m), legs, lam)
                 if lhs != tensor_act(x, _omega_act(unit, legs, lam), n, lam, m):
                     return False
-    if isinstance(lam, Fraction):
-        for v in nullspace_basis(n, lam, m):
-            vector = {idx: c for idx, c in zip(basis.indices, v) if c}
-            if any(tensor_act("E", _omega_act(vector, legs, lam), n, lam, m) for legs in placements):
-                return False
+    for v in nullspace_basis(n, lam, m):
+        vector = {idx: c for idx, c in zip(basis.indices, v) if c}
+        if any(tensor_act("E", _omega_act(vector, legs, lam), n, lam, m) for legs in placements):
+            return False
     return True

@@ -225,12 +225,26 @@ def test_negative_weight_level_is_an_error(capsys, argv):
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-@pytest.mark.parametrize("command", [("monodromy", "--word", "s1 s2"), ("check",)], ids=["monodromy", "check"])
+@pytest.mark.parametrize(
+    "command",
+    [("monodromy", "--word", "s1 s2"), ("check",), ("monodromy", "--word", "")],
+    ids=["monodromy", "check", "monodromy-empty"],
+)
 def test_kz_rejects_bad_tolerance(capsys, command, tol):
     argv = ("kz", command[0], "--n", "3", "--m", "1", "--lambda", "1/2", "--h", "0.1", *command[1:])
     code, out = run_cli(capsys, *argv, f"--tol={tol}")
     assert code == 1
     assert "tolerance" in json.loads(out)["error"]
+
+
+def test_ybe_reports_invertibility_without_an_adjugate(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("RingMatrix.adjugate called")
+
+    monkeypatch.setattr(RingMatrix, "adjugate", refuse)
+    code, out = run_cli(capsys, "ybe", "--builtin", "flip", "--dim", "6")
+    assert code == 0
+    assert json.loads(out) == {"braid_ybe": 0.0, "qybe": 0.0, "invertible": True}
 
 
 def test_ybe_rejects_nonpositive_dimension(tmp_path, capsys):

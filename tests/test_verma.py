@@ -206,6 +206,13 @@ def test_kd_relations():
     assert kd_relation_check(4, LAM, 2)
 
 
+@pytest.mark.parametrize("check", [kd_relation_check, equivariance_check])
+def test_relation_checks_reject_complex_weights(check):
+    # exact sparse comparisons are meaningless under float rounding
+    with pytest.raises(TypeError):
+        check(3, 0.3 + 0.7j, 2)
+
+
 def test_total_omega_is_central_among_omegas():
     n, m = 4, 2
     blocks = [

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from braidrep.yang_baxter import (
     compose_flip,
     flip_r,
     identity_r,
-    kron_exact,
+    place_on_legs,
     r_matrix_from_json,
     r_matrix_to_json,
     rep_from_r,
@@ -108,25 +109,22 @@ def test_size_cap():
         rep_from_r(flip_r(4), 7, BraidWord(7))
 
 
-def test_numeric_r_matrix_path():
-    # rq at a concrete complex q exercises the numeric branch
-    q = 0.8 + 0.3j
+def _complex_rq(q):
     grid = np.zeros((4, 4), dtype=complex)
     grid[0, 0] = grid[3, 3] = q
     grid[1, 2] = grid[2, 1] = 1.0
     grid[2, 2] = q - 1 / q
-    spec = RMatrixSpec(2, "complex", grid)
+    return RMatrixSpec(2, "complex", grid)
+
+
+def test_numeric_r_matrix_path():
+    # rq at a concrete complex q exercises the numeric branch
+    spec = _complex_rq(0.8 + 0.3j)
     assert check_braid_ybe(spec).norm <= 1e-10
     assert check_braid_ybe(spec).passes
     m = rep_from_r(spec, 3, BraidWord.parse("s1 s2 s1", 3))
     m2 = rep_from_r(spec, 3, BraidWord.parse("s2 s1 s2", 3))
     assert np.max(np.abs(m - m2)) <= 1e-10
-
-
-def test_kron_exact_shape_and_identity():
-    a = RingMatrix.identity(2)
-    b = RingMatrix.identity(3)
-    assert kron_exact(a, b).is_identity()
 
 
 def test_json_roundtrip_all_rings(tmp_path):
@@ -165,3 +163,71 @@ def test_flip_word_order_matches_permutation_oracle():
                     col = (src[0] << 2) | (src[1] << 1) | src[2]
                     row = (dst[0] << 2) | (dst[1] << 1) | dst[2]
                     assert m.entries[row][col].is_one()
+
+
+# -- oracle: dense placements from the index formula, independent of the
+# sparse leg actions under test
+
+def _dense_generator(r, d, n, i, zero):
+    """id^(i-1) (x) R (x) id^(n-i-1) as a dense grid: entry ((p, x, s), (p, y, s))
+    is R[x][y] for every prefix p in d^(i-1) and suffix s in d^(n-i-1)."""
+    pre, post, size = d ** (i - 1), d ** (n - i - 1), d ** n
+    grid = [[zero] * size for _ in range(size)]
+    for p in range(pre):
+        for x in range(d * d):
+            for y in range(d * d):
+                for s in range(post):
+                    grid[(p * d * d + x) * post + s][(p * d * d + y) * post + s] = r[x][y]
+    return grid
+
+
+def _dense_rep(spec, n, w):
+    d, inverse = spec.dim, any(s < 0 for _, s in w.letters)
+    if spec.exact:
+        entries = {1: spec.matrix.entries}
+        if inverse:
+            entries[-1] = spec.matrix.inverse_unit_det().entries
+        acc = RingMatrix.identity(d ** n)
+        for i, s in w.letters:
+            acc = acc @ RingMatrix.from_rows(_dense_generator(entries[s], d, n, i, LaurentPoly.constant(0)))
+        return acc
+    mats = {1: spec.matrix.tolist(), -1: np.linalg.inv(spec.matrix).tolist()}
+    acc = np.eye(d ** n, dtype=complex)
+    for i, s in w.letters:
+        acc = acc @ np.asarray(_dense_generator(mats[s], d, n, i, 0j))
+    return acc
+
+
+def test_rep_from_r_matches_dense_kronecker_products():
+    # flip_r(3) stays at n <= 4 (81 dimensions) to keep the dense side cheap,
+    # and takes positive letters: its R is an involution, and the 9x9
+    # adjugate inverse would cost more than the rest of the test
+    rng = random.Random(41)
+    specs = [(rq_r(), 6, (1, -1)), (flip_r(3), 4, (1,)), (_complex_rq(0.6 - 0.9j), 6, (1, -1))]
+    for _ in range(40):
+        spec, top, signs = rng.choice(specs)
+        n = rng.randint(2, top)
+        w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice(signs)) for _ in range(rng.randint(0, 5))))
+        got, want = rep_from_r(spec, n, w), _dense_rep(spec, n, w)
+        if spec.exact:
+            assert got == want
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_place_on_legs_matches_index_formula():
+    rng = random.Random(8)
+    grid = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)] for _ in range(4)]
+    grid[0][0] += 7
+    rational = RMatrixSpec(2, "rational", RingMatrix.from_rows(grid))
+    legs = list(product(range(2), repeat=4))  # leg 1 most significant
+    for spec in (rq_r(), rational):
+        r = spec.matrix.entries
+        for i in range(1, 5):
+            for j in range(i + 1, 5):
+                m = place_on_legs(spec, 4, i, j)
+                for row, a in enumerate(legs):
+                    for col, b in enumerate(legs):
+                        apart = all(a[k] == b[k] for k in range(4) if k not in (i - 1, j - 1))
+                        want = r[2 * a[i - 1] + a[j - 1]][2 * b[i - 1] + b[j - 1]] if apart else 0
+                        assert m.entries[row][col] == want
