@@ -5,8 +5,9 @@ Usage: python scripts/knot_table.py [extra braids as "n:word" items]
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from braidrep.alexander import alexander_conway
 from braidrep.words import BraidWord

@@ -8,8 +8,9 @@ Usage: python scripts/kz_convergence.py [--n 3] [--m 2] [--lambda 1/2] [--h 0.1+
 import argparse
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 

@@ -82,9 +82,15 @@ def cmd_ybe(args) -> dict:
 
     if args.file:
         with open(args.file) as fh:
-            spec = yang_baxter.r_matrix_from_json(json.load(fh))
+            data = json.load(fh)
+    dim = int(data["dim"]) if args.file else args.dim
+    # both Yang-Baxter checks act on V^(x)3
+    if dim**3 > yang_baxter.SIZE_CAP:
+        raise ValueError(f"r-matrix dimension {dim} is over the limit: {dim}^3 > {yang_baxter.SIZE_CAP}")
+    if args.file:
+        spec = yang_baxter.r_matrix_from_json(data)
     else:
-        spec = _BUILTIN_R[args.builtin](yang_baxter, args.dim)
+        spec = _BUILTIN_R[args.builtin](yang_baxter, dim)
     report = yang_baxter.check_quasitriangular_matrix_axioms(spec)
     return {
         "braid_ybe": report["braid_ybe"],
@@ -98,15 +104,46 @@ def _check_level(m: int) -> None:
         raise ValueError(f"weight level --m must be non-negative, got {m}")
 
 
+# Size limits of the Verma and KZ subcommands, each set just above a case
+# measured on 2 CPUs (child wall time and peak RSS; README, "Input limits").
+MAX_WEIGHT_DIM = 4000  # verma dims: d = 3876 took 1.6 s, 118 MB
+# verma omega (d^2 exact entries and their JSON): d = 1365 took 3.4 s, 171 MB;
+# verma dims at lam in 0..m-1 (dense Gauss-Jordan): d = 1365 took 62 s, 74 MB
+MAX_DENSE_DIM = 1400
+MAX_KZ_DIM = 500  # kz, O(d^3) per DP5 step: one letter at d = 462 took 5.3 s
+MAX_KZ_ENTRIES = 4_000_000  # kz Omega stack, P d^2 entries: 3.2e6 took 154 MB
+
+
+def _check_size(n: int, m: int, max_dim: int, pairs: int = 0) -> None:
+    """Reject W[m] on n legs if its dimension is over ``max_dim``, or if
+    ``pairs`` dense operators on it hold over MAX_KZ_ENTRIES entries,
+    before anything is enumerated."""
+    if n < 1:
+        return  # the Verma layer reports it
+    # weight_dim(n, m) >= max(n, m + 1) once n >= 2 and m >= 1, which keeps
+    # the binomial small when it is computed
+    over = n >= 2 and m >= 1 and max(n, m) > max_dim
+    dim = max_dim + 1 if over else verma.weight_dim(n, m)
+    if dim > max_dim:
+        raise ValueError(f"weight space at n={n}, m={m} has dimension over the limit {max_dim}")
+    if pairs * dim * dim > MAX_KZ_ENTRIES:
+        raise ValueError(
+            f"{pairs} Omega operators of dimension {dim} are over the limit of {MAX_KZ_ENTRIES} entries"
+        )
+
+
 def cmd_verma_dims(args) -> dict:
     _check_level(args.m)
     lam = parse_weight(args.lam)
+    eliminates = isinstance(lam, Fraction) and lam.denominator == 1 and 0 <= lam < args.m
+    _check_size(args.n, args.m, MAX_DENSE_DIM if eliminates else MAX_WEIGHT_DIM)
     null = verma.nullspace_basis(args.n, lam, args.m)
     return {"weight_dim": verma.weight_dim(args.n, args.m), "null_dim": len(null)}
 
 
 def cmd_verma_omega(args) -> dict:
     _check_level(args.m)
+    _check_size(args.n, args.m, MAX_DENSE_DIM)
     lam = parse_weight(args.lam)
     if not isinstance(lam, Fraction):
         raise ValueError("omega export needs a rational highest weight")
@@ -125,6 +162,7 @@ def _kz_spec(args, restrict: bool):
     lam = parse_weight(args.lam)
     if (args.h is None) == (args.tau is None):
         raise ValueError("give exactly one of --h and --tau")
+    _check_size(args.n, args.m, MAX_KZ_DIM, args.n * (args.n - 1) // 2)
     if args.h is not None:
         return kz.KzSpec(args.n, lam, args.m, h=parse_complex(args.h), restrict_to_nullspace=restrict)
     return kz.KzSpec(args.n, lam, args.m, tau=parse_complex(args.tau), restrict_to_nullspace=restrict)

@@ -4,7 +4,9 @@ The connection is A = pref * sum_{i<j} Omega^{ij} (dz_i - dz_j)/(z_i - z_j)
 on the trivial bundle over the ordered configuration space, restricted to a
 weight-graded piece W[n lam - 2m] (optionally to its nullvector subspace).
 Two parameter conventions are exposed, pref = h / (2 pi i) and pref = 1/tau;
-internally everything is one complex prefactor.
+internally everything is one complex prefactor.  The Omegas of one spec
+are held as a stacked (P, d, d) array, built once and shared by every entry
+point, so the connection is one product of the P dlog coefficients with it.
 
 Braid generators are represented by counterclockwise half-turns of the two
 moving points about their midpoint (clockwise for the inverse letter);
@@ -20,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -81,25 +83,24 @@ def basepoint(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=complex)
 
 
-def generator_path(n: int, i: int, sign: int = 1) -> ConfigPath:
-    """Half-turn of z_i and z_{i+1} about their midpoint c = i + 1/2 with
-    radius 1/2, counterclockwise for sign=+1, clockwise for sign=-1; all
-    other points sit at their integer base positions."""
+def _pair_path(n: int, i: int, offset, doffset) -> ConfigPath:
+    """z_i and z_{i+1} at c - offset(s) and c + offset(s), c = i + 1/2, with
+    velocities -doffset(s) and doffset(s); all other points sit at their
+    integer base positions."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
     c = i + 0.5
-    w = sign * math.pi
 
     def pos(s: float) -> np.ndarray:
         z = basepoint(n)
-        r = 0.5 * cmath.exp(1j * w * s)
+        r = offset(s)
         z[i - 1] = c - r
         z[i] = c + r
         return z
 
     def vel(s: float) -> np.ndarray:
         v = np.zeros(n, dtype=complex)
-        r = 0.5j * w * cmath.exp(1j * w * s)
+        r = doffset(s)
         v[i - 1] = -r
         v[i] = r
         return v
@@ -107,12 +108,18 @@ def generator_path(n: int, i: int, sign: int = 1) -> ConfigPath:
     return ConfigPath(n, (PathSegment(pos, vel),))
 
 
+def generator_path(n: int, i: int, sign: int = 1) -> ConfigPath:
+    """Half-turn of z_i and z_{i+1} about their midpoint with radius 1/2,
+    counterclockwise for sign=+1, clockwise for sign=-1."""
+    w = sign * math.pi
+    return _pair_path(
+        n, i, lambda s: 0.5 * cmath.exp(1j * w * s), lambda s: 0.5j * w * cmath.exp(1j * w * s)
+    )
+
+
 def pure_loop_path(n: int, i: int, semi_axes=(0.5, 0.5)) -> ConfigPath:
     """Full counterclockwise loop of z_i and z_{i+1} about their midpoint,
     tracing an ellipse with the given semi-axes; realizes sigma_i^2."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    c = i + 0.5
     rx, ry = semi_axes
 
     def offset(s):
@@ -123,19 +130,7 @@ def pure_loop_path(n: int, i: int, semi_axes=(0.5, 0.5)) -> ConfigPath:
         ang = 2 * math.pi * s
         return 2 * math.pi * (-rx * math.sin(ang) + 1j * ry * math.cos(ang))
 
-    def pos(s: float) -> np.ndarray:
-        z = basepoint(n)
-        z[i - 1] = c - offset(s)
-        z[i] = c + offset(s)
-        return z
-
-    def vel(s: float) -> np.ndarray:
-        v = np.zeros(n, dtype=complex)
-        v[i - 1] = -doffset(s)
-        v[i] = doffset(s)
-        return v
-
-    return ConfigPath(n, (PathSegment(pos, vel),))
+    return _pair_path(n, i, offset, doffset)
 
 
 @dataclass(frozen=True)
@@ -160,6 +155,12 @@ class KzSpec:
             raise ValueError("need at least two strands")
         if self.m < 0:
             raise ValueError(f"weight level m must be non-negative, got {self.m}")
+        for name in ("h", "tau"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(complex(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.tau is not None and complex(self.tau) == 0:
+            raise ValueError("tau must be nonzero")
 
     @property
     def prefactor(self) -> complex:
@@ -178,12 +179,12 @@ class MonodromyResult:
     leg_permutation: Permutation | None = None
 
 
-def _lam_complex(lam) -> complex:
-    return complex(float(lam)) if isinstance(lam, Fraction) else complex(lam)
-
-
 class KzSystem:
-    """Precomputed Omega placements and leg-swap operators for one KzSpec.
+    """Stacked Omega placements and leg-swap operators for one KzSpec.
+
+    ``omegas`` stacks Omega^{ij} for (i, j) in ``pairs`` (i < j,
+    lexicographic) as a (P, d, d) array, and ``swaps[i - 1]`` is the leg
+    swap of sigma_i; the entry points share one system per spec.
 
     With ``restrict_to_nullspace`` each operator X is compressed to the
     nullspace basis B of ``nullspace_matrix``: X maps N[n lam - 2m] into
@@ -194,40 +195,40 @@ class KzSystem:
     def __init__(self, spec: KzSpec):
         self.spec = spec
         n, m = spec.n, spec.m
-        lam_c = _lam_complex(spec.lam)
-        omegas = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                block = omega_matrix(n, i, j, lam_c, m).block
-                omegas[(i, j)] = np.asarray(block, dtype=complex)
-        swaps = {
-            i: np.asarray(
-                leg_permutation_matrix(n, lam_c, m, Permutation.transposition(n, i).images),
-                dtype=complex,
-            )
-            for i in range(1, n)
-        }
+        lam_c = complex(spec.lam)
+        self.pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        self._legs = np.array(self.pairs).T - 1
+        self.dim = weight_dim(n, m)
+        omegas = np.empty((len(self.pairs), self.dim, self.dim), dtype=complex)
+        for p, (i, j) in enumerate(self.pairs):
+            omegas[p] = omega_matrix(n, i, j, lam_c, m).block
+        swaps = np.empty((n - 1, self.dim, self.dim), dtype=complex)
+        for i in range(1, n):
+            swaps[i - 1] = leg_permutation_matrix(n, lam_c, m, Permutation.transposition(n, i).images)
         if spec.restrict_to_nullspace:
             basis = nullspace_matrix(n, spec.lam, m)
             self.dim = basis.shape[1]
-            omegas = {key: (om @ basis)[: self.dim] for key, om in omegas.items()}
-            swaps = {i: (p @ basis)[: self.dim] for i, p in swaps.items()}
-        else:
-            self.dim = weight_dim(n, m)
-        self.omegas = omegas
-        self.swaps = swaps
-        self.pairs = sorted(omegas)
+            omegas = np.ascontiguousarray((omegas @ basis)[:, : self.dim])
+            swaps = (swaps @ basis)[:, : self.dim]
+        self.omegas, self.swaps = omegas, swaps
 
     def connection(self, positions, velocities) -> np.ndarray:
         z = np.asarray(positions, dtype=complex)
         v = np.asarray(velocities, dtype=complex)
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for (i, j), om in self.omegas.items():
-            dz = z[i - 1] - z[j - 1]
-            if abs(dz) < MIN_POINT_DISTANCE:
-                raise ValueError(f"points {i} and {j} collide (|dz| = {abs(dz):.2e})")
-            acc += ((v[i - 1] - v[j - 1]) / dz) * om
-        return self.spec.prefactor * acc
+        i, j = self._legs
+        dz = z[i] - z[j]
+        dist = np.abs(dz)
+        if dist.min() < MIN_POINT_DISTANCE:
+            closest = int(np.argmin(dist))
+            a, b = self.pairs[closest]
+            raise ValueError(f"points {a} and {b} collide (|dz| = {dist[closest]:.2e})")
+        coeffs = self.spec.prefactor * (v[i] - v[j]) / dz
+        return (coeffs @ self.omegas.reshape(len(coeffs), -1)).reshape(self.dim, self.dim)
+
+
+# One system per spec: KzSpec is frozen and hashable, and every entry point
+# below goes through this cache, which keeps only the latest system alive.
+_system = lru_cache(maxsize=1)(KzSystem)
 
 
 def nullspace_matrix(n: int, lam, m: int) -> np.ndarray:
@@ -250,7 +251,7 @@ def nullspace_matrix(n: int, lam, m: int) -> np.ndarray:
 
 def connection_value(spec: KzSpec, point, velocity) -> np.ndarray:
     """The connection 1-form evaluated on one tangent vector."""
-    return KzSystem(spec).connection(point, velocity)
+    return _system(spec).connection(point, velocity)
 
 
 # Dormand-Prince 5(4) pair
@@ -314,13 +315,10 @@ def _transport_segment(afun, psi: np.ndarray, tol: float):
     return psi, est, steps
 
 
-def parallel_transport(spec: KzSpec, path: ConfigPath, tol: float = 1e-9) -> MonodromyResult:
+def _transport(system: KzSystem, path: ConfigPath, tol: float) -> MonodromyResult:
     """Parallel transport along a path, starting from the identity frame."""
-    _check_tolerance(tol)
-    system = KzSystem(spec)
     psi = np.eye(system.dim, dtype=complex)
-    est = 0.0
-    steps = 0
+    est, steps = 0.0, 0
     for seg in path.segments:
         afun = lambda s: system.connection(seg.position(s), seg.velocity(s))
         psi, seg_est, seg_steps = _transport_segment(afun, psi, tol)
@@ -329,25 +327,26 @@ def parallel_transport(spec: KzSpec, path: ConfigPath, tol: float = 1e-9) -> Mon
     return MonodromyResult(psi, est, steps)
 
 
+def parallel_transport(spec: KzSpec, path: ConfigPath, tol: float = 1e-9) -> MonodromyResult:
+    """Parallel transport along a path, starting from the identity frame."""
+    _check_tolerance(tol)
+    return _transport(_system(spec), path, tol)
+
+
 def monodromy(spec: KzSpec, w: BraidWord, tol: float = 1e-9) -> MonodromyResult:
     """Holonomy of a braid word: per letter, transport along the half-turn
     path composed with the leg swap; letters act first-to-last."""
     _check_tolerance(tol)
     if w.n != spec.n:
         raise ValueError(f"word on {w.n} strands does not match spec n={spec.n}")
-    system = KzSystem(spec)
+    system = _system(spec)
     total = np.eye(system.dim, dtype=complex)
-    est = 0.0
-    steps = 0
+    est, steps = 0.0, 0
     for i, sign in w.letters:
-        path = generator_path(spec.n, i, sign)
-        seg = path.segments[0]
-        afun = lambda s: system.connection(seg.position(s), seg.velocity(s))
-        psi, seg_est, seg_steps = _transport_segment(afun, np.eye(system.dim, dtype=complex), tol)
-        hol = system.swaps[i] @ psi
-        total = hol @ total  # first letter acts first
-        est += seg_est
-        steps += seg_steps
+        letter = _transport(system, generator_path(spec.n, i, sign), tol)
+        total = system.swaps[i - 1] @ letter.matrix @ total  # first letter acts first
+        est += letter.est_error
+        steps += letter.steps
     return MonodromyResult(total, est, steps, underlying_permutation(w))
 
 
@@ -365,7 +364,7 @@ def flatness_residual(spec: KzSpec, point, tangent_u, tangent_v) -> float:
     [A(u), A(v)] of the connection values; with the Kohno-Drinfeld
     relations in force this vanishes to rounding error.
     """
-    system = KzSystem(spec)
+    system = _system(spec)
     a_u = system.connection(point, tangent_u)
     a_v = system.connection(point, tangent_v)
     num = float(np.max(np.abs(a_u @ a_v - a_v @ a_u)))
@@ -375,7 +374,7 @@ def flatness_residual(spec: KzSpec, point, tangent_u, tangent_v) -> float:
 
 def curvature_form(spec: KzSpec, point, tangent_u, tangent_v) -> np.ndarray:
     """Raw curvature evaluation [A(u), A(v)] (bilinear in the tangents)."""
-    system = KzSystem(spec)
+    system = _system(spec)
     a_u = system.connection(point, tangent_u)
     a_v = system.connection(point, tangent_v)
     return a_u @ a_v - a_v @ a_u

@@ -304,3 +304,103 @@ def test_exact_subcommands_do_not_import_numpy():
         "kz_spec_is_kz_KzSpec": True,
         "unknown_raises": True,
     }
+
+
+def test_kz_check_builds_one_system(capsys, monkeypatch):
+    from braidrep import kz
+
+    builds = []
+    build = kz.KzSystem.__init__
+
+    def counting(self, spec):
+        builds.append(spec)
+        build(self, spec)
+
+    monkeypatch.setattr(kz.KzSystem, "__init__", counting)
+    kz._system.cache_clear()
+    code, _ = run_cli(capsys, "kz", "check", "--n", "3", "--m", "1", "--lambda", "1/2", "--h", "0.1")
+    assert code == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (("verma", "dims", "--n", "2", "--m", "4000", "--lambda", "1/3"), "limit 4000"),
+        (("verma", "dims", "--n", "30", "--m", "30", "--lambda", "1/3"), "limit 4000"),
+        (("verma", "dims", "--n", "2", "--m", "1400", "--lambda", "1"), "limit 1400"),
+        (("verma", "omega", "--n", "2", "--m", "1400", "--i", "1", "--j", "2", "--lambda", "1/3"),
+         "limit 1400"),
+        (("kz", "check", "--n", "2", "--m", "500", "--lambda", "1/3", "--h", "0.1"), "limit 500"),
+        (("kz", "monodromy", "--n", "8", "--m", "8", "--lambda", "1/3", "--h", "0.1", "--word", "s1"),
+         "limit 500"),
+        (("kz", "monodromy", "--n", "7", "--m", "5", "--lambda", "1/3", "--tau", "2", "--word", "s1"),
+         "4000000 entries"),
+        (("kz", "monodromy", "--n", "3000", "--m", "0", "--lambda", "1/3", "--h", "0.1", "--word", ""),
+         "4000000 entries"),
+    ],
+    ids=[
+        "dims", "dims-huge", "dims-elimination", "omega", "kz-check", "kz-huge", "kz-stack", "kz-many-legs"
+    ],
+)
+def test_oversized_weight_spaces_are_rejected_before_building(capsys, monkeypatch, argv, limit):
+    from braidrep import kz, verma
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a weight space")
+
+    monkeypatch.setattr(verma, "weight_space_basis", refuse)
+    monkeypatch.setattr(kz.KzSystem, "__init__", refuse)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert limit in json.loads(out)["error"]
+
+
+def test_size_limits_admit_their_boundary():
+    from braidrep import cli
+
+    cli._check_size(2, cli.MAX_WEIGHT_DIM - 1, cli.MAX_WEIGHT_DIM)
+    cli._check_size(2, cli.MAX_DENSE_DIM - 1, cli.MAX_DENSE_DIM)
+    cli._check_size(2, cli.MAX_KZ_DIM - 1, cli.MAX_KZ_DIM, 1)
+    cli._check_size(2, 399, cli.MAX_KZ_DIM, 25)  # 25 * 400^2 entries, the limit
+    with pytest.raises(ValueError, match="entries"):
+        cli._check_size(2, 399, cli.MAX_KZ_DIM, 26)
+    cli._check_size(1, 10**30, cli.MAX_DENSE_DIM)
+
+
+def test_ybe_rejects_dimension_over_size_cap(tmp_path, capsys, monkeypatch):
+    from braidrep import yang_baxter
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an r-matrix")
+
+    for name in ("flip_matrix", "r_matrix_from_json"):
+        monkeypatch.setattr(yang_baxter, name, refuse)
+    monkeypatch.setattr(RingMatrix, "identity", refuse)
+    for builtin in ("flip", "identity"):
+        code, out = run_cli(capsys, "ybe", "--builtin", builtin, "--dim", "17")
+        assert code == 1
+        assert "r-matrix dimension 17 is over the limit" in json.loads(out)["error"]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"dim": 100, "ring": "rational", "matrix": [["1"]]}))
+    code, out = run_cli(capsys, "ybe", "--file", str(path))
+    assert code == 1
+    assert "r-matrix dimension 100 is over the limit" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [("h", "nan"), ("h", "1e400"), ("h", "1+1e400i"), ("tau", "nan"), ("tau", "-1e400"), ("tau", "0")],
+)
+def test_kz_rejects_non_finite_or_zero_parameters(capsys, param, value):
+    argv = ("kz", "monodromy", "--n", "3", "--m", "1", "--lambda", "1/2", "--word", "s1")
+    code, out = run_cli(capsys, *argv, f"--{param}={value}")
+    assert code == 1
+    assert json.loads(out)["error"].startswith(f"{param} must be")
+
+
+def test_kz_accepts_zero_h(capsys):
+    argv = ("kz", "monodromy", "--n", "2", "--m", "1", "--lambda", "1/2", "--h", "0", "--word", "s1")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["matrix"] == [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]

@@ -333,10 +333,10 @@ def test_compressed_operators_are_exact_restrictions(lam):
     basis = nullspace_matrix(n, lam, m)
     assert np.array_equal(basis[: system.dim], np.eye(system.dim))
     lam_c = complex(lam)
-    for (i, j), compressed in system.omegas.items():
+    for (i, j), compressed in zip(system.pairs, system.omegas):
         om = np.asarray(omega_matrix(n, i, j, lam_c, m).block, dtype=complex)
         assert np.max(np.abs(om @ basis - basis @ compressed)) < 1e-12
-    for i, compressed in system.swaps.items():
+    for i, compressed in enumerate(system.swaps, 1):
         images = list(range(1, n + 1))
         images[i - 1], images[i] = i + 1, i
         swap = np.asarray(leg_permutation_matrix(n, lam_c, m, images), dtype=complex)

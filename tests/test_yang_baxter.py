@@ -231,3 +231,50 @@ def test_place_on_legs_matches_index_formula():
                         apart = all(a[k] == b[k] for k in range(4) if k not in (i - 1, j - 1))
                         want = r[2 * a[i - 1] + a[j - 1]][2 * b[i - 1] + b[j - 1]] if apart else 0
                         assert m.entries[row][col] == want
+
+
+def _dense_three_leg(r, d, i, j, zero):
+    """R on legs (i, j) of V^(x)3 as a dense grid from the index formula."""
+    legs = list(product(range(d), repeat=3))
+    (k,) = {0, 1, 2} - {i - 1, j - 1}
+    return [
+        [r[a[i - 1] * d + a[j - 1]][b[i - 1] * d + b[j - 1]] if a[k] == b[k] else zero for b in legs]
+        for a in legs
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [identity_r(2), flip_r(3), rq_r(), "rational", _complex_rq(0.8 + 0.3j), "complex"],
+    ids=["identity", "flip3", "rq", "rational", "complex-rq", "complex-random"],
+)
+def test_ybe_norms_match_dense_products(spec):
+    # the residuals are taken column by column from sparse products; compare
+    # them with the largest entry of dense products built here
+    rng = random.Random(12)
+    if spec == "rational":  # fails the YBE
+        grid = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)] for _ in range(4)]
+        grid[0][0] += 7
+        spec = RMatrixSpec(2, "rational", RingMatrix.from_rows(grid))
+    elif spec == "complex":  # fails the YBE
+        grid = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)] for _ in range(4)]
+        spec = RMatrixSpec(2, "complex", np.array(grid))
+    d = spec.dim
+    if spec.exact:
+        r, zero = spec.matrix.entries, LaurentPoly.constant(0)
+        place = lambda i, j: RingMatrix.from_rows(_dense_three_leg(r, d, i, j, zero))
+        norm = lambda x: max(
+            float(sum(abs(Fraction(c)) for c in p.terms.values())) for row in x.entries for p in row
+        )
+    else:
+        r = spec.matrix.tolist()
+        place = lambda i, j: np.asarray(_dense_three_leg(r, d, i, j, 0j))
+        norm = lambda x: float(np.max(np.abs(x)))
+    r12, r13, r23 = place(1, 2), place(1, 3), place(2, 3)
+    braid = norm(r12 @ r23 @ r12 - r23 @ r12 @ r23)
+    qybe = norm(r12 @ r13 @ r23 - r23 @ r13 @ r12)
+    got = check_braid_ybe(spec).norm, check_qybe(spec).norm
+    if spec.exact:
+        assert got == (braid, qybe)
+    else:
+        assert got == pytest.approx((braid, qybe), abs=1e-12)
