@@ -40,6 +40,14 @@ from .words import BraidWord, Permutation, underlying_permutation
 
 MIN_POINT_DISTANCE = 1e-9
 
+# Work budget of one transport segment, in DP5 step attempts (accepted or
+# rejected) times d^3, with d taken as at least 48: a step costs about
+# 1.2-3.4e-9 s per d^3 unit at d >= 81, and about 0.3 ms of fixed overhead
+# at d <= 20 (2 CPUs).  The largest segment of the tests, the scripts and
+# the benchmark decks does 3.3e6 units (d = 56, 19 attempts); one letter at
+# the size limit, d = 462, does 2.1-2.4e9 (21-24 attempts at |h| 0.1-0.2).
+MAX_TRANSPORT_WORK = 10**10
+
 
 @dataclass(frozen=True)
 class PathSegment:
@@ -281,10 +289,18 @@ def _transport_segment(afun, psi: np.ndarray, tol: float):
     hstep = 0.1
     est = 0.0
     steps = 0
+    max_attempts = MAX_TRANSPORT_WORK // max(len(psi), 48) ** 3
+    attempts = 0
     while s < 1.0:
         hstep = min(hstep, 1.0 - s)
         if hstep < 1e-14:
             raise ArithmeticError("step size underflow in parallel transport")
+        attempts += 1
+        if attempts > max_attempts:
+            raise ArithmeticError(
+                f"parallel transport at dimension {len(psi)} needs over {max_attempts} steps "
+                f"(work budget {MAX_TRANSPORT_WORK:.0e} steps x d^3)"
+            )
         k = []
         for c_i, a_row in zip(_DP_C, _DP_A):
             y = psi

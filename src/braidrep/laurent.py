@@ -11,6 +11,9 @@ values.
 The canonical printed form lists terms in increasing exponent, e.g.
 ``s^-2 - 1 + s^2``; this string format is part of the CLI contract and
 round-trips through :func:`LaurentPoly.parse`.
+
+``RingMatrix`` computes determinants, adjugates and inverses with one
+fraction-free elimination on sparse rows, whose divisions are all exact.
 """
 
 from __future__ import annotations
@@ -390,9 +393,8 @@ class RingMatrix:
         return self + other.scale(-1)
 
     def scale(self, c) -> "RingMatrix":
-        return RingMatrix(
-            self.rows, self.cols, tuple(tuple(e * c for e in row) for row in self.entries)
-        )
+        grid = tuple(tuple(e * c if e.terms else e for e in row) for row in self.entries)
+        return RingMatrix(self.rows, self.cols, grid)
 
     def transpose(self) -> "RingMatrix":
         return RingMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
@@ -407,89 +409,84 @@ class RingMatrix:
             for j in range(self.cols)
         )
 
-    # -- determinant -------------------------------------------------------
+    # -- elimination -------------------------------------------------------
 
-    def det(self) -> LaurentPoly:
-        """Exact determinant: memoized cofactor expansion below 6x6,
-        fraction-free (Bareiss) elimination with exact divisions above."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        if self.rows < 6:
-            return self._det_cofactor()
-        return self._det_bareiss()
+    def _eliminate(self, augment: bool):
+        """Fraction-free (Bareiss) elimination on sparse rows ``{col: entry}``.
 
-    def _det_cofactor(self) -> LaurentPoly:
-        n = self.rows
-        entries = self.entries
-        memo: dict[tuple, LaurentPoly] = {}
+        At step k every row i below k (every row i != k when ``augment``)
+        and every column j > k gets ``(p*a_ij - a_ik*a_kj) / prev``, with p
+        the pivot a_kk and prev the previous pivot.  Each such entry is a
+        minor, so the division is exact: by ``unit_inverse`` when prev is a
+        monomial, by the runtime-checked :func:`exact_div` otherwise.  A
+        zero pivot swaps in the first lower row with a nonzero entry.
 
-        def minor(row: int, cols: tuple) -> LaurentPoly:
-            if len(cols) == 1:
-                return entries[row][cols[0]]
-            key = (row, cols)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            acc = LaurentPoly.constant(0)
-            for pos, c in enumerate(cols):
-                e = entries[row][c]
-                if not e.terms:
-                    continue
-                sub = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-                term = e * sub
-                acc = acc + (term if pos % 2 == 0 else -term)
-            memo[key] = acc
-            return acc
-
-        return minor(0, tuple(range(n)))
-
-    def _det_bareiss(self) -> LaurentPoly:
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = LaurentPoly.constant(1)
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-                if pivot is None:
-                    return LaurentPoly.constant(0)
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-                m[i][k] = LaurentPoly.constant(0)
-            prev = m[k][k]
-        out = m[n - 1][n - 1]
-        return -out if sign < 0 else out
-
-    def adjugate(self) -> "RingMatrix":
+        Returns ``(sign, p, right)`` with det = sign*p for the last pivot p
+        (zero for a singular matrix, which ``augment`` refuses).  With
+        ``augment`` the pass is Gauss-Jordan on [M | I]: the left block ends
+        as p*I and ``right``, the right block, is p*M^-1; otherwise it is None.
+        """
         n = self.rows
         if n != self.cols:
-            raise ValueError("adjugate of a non-square matrix")
-        if n == 1:
-            return RingMatrix.identity(1)
-        cof = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sub = RingMatrix(
-                    n - 1,
-                    n - 1,
-                    tuple(
-                        tuple(self.entries[r][c] for c in range(n) if c != j)
-                        for r in range(n)
-                        if r != i
-                    ),
-                )
-                d = sub.det()
-                cof[i][j] = d if (i + j) % 2 == 0 else -d
-        return RingMatrix(n, n, tuple(zip(*cof)))  # adj = cofactor transpose
+            raise ValueError("determinant, adjugate or inverse of a non-square matrix")
+        rows = [{j: e for j, e in enumerate(row) if e.terms} for row in self.entries]
+        if augment:
+            one = LaurentPoly.constant(1)
+            for i, row in enumerate(rows):
+                row[n + i] = one
+        sign, prev = 1, LaurentPoly.constant(1)
+        for k in range(n):
+            r = next((r for r in range(k, n) if k in rows[r]), None)
+            if r is None:
+                if augment:
+                    raise ExactDivisionError("singular matrix")
+                return sign, LaurentPoly.constant(0), None
+            if r != k:
+                rows[k], rows[r] = rows[r], rows[k]
+                sign = -sign
+            pivot_row = rows[k]
+            p = pivot_row.pop(k)  # the left block stays implicit: p on the diagonal
+            inv = prev.unit_inverse() if prev.is_monomial() else None
+            for i in range(0 if augment else k + 1, n):
+                if i == k:
+                    continue
+                row = rows[i]
+                a = row.pop(k, None)
+                new = {j: p * x for j, x in row.items()}
+                if a is not None:
+                    for j, y in pivot_row.items():
+                        new[j] = new[j] - a * y if j in new else -(a * y)
+                rows[i] = {
+                    j: v * inv if inv is not None else exact_div(v, prev)
+                    for j, v in new.items()
+                    if v.terms
+                }
+            prev = p
+        if not augment:
+            return sign, prev, None
+        zero = LaurentPoly.constant(0)
+        right = tuple(tuple(row.get(j, zero) for j in range(n, 2 * n)) for row in rows)
+        return sign, prev, RingMatrix(n, n, right)
+
+    def det(self) -> LaurentPoly:
+        """Exact determinant by forward fraction-free elimination."""
+        sign, p, _ = self._eliminate(False)
+        return -p if sign < 0 else p
+
+    def adjugate(self) -> "RingMatrix":
+        """Adjugate det(M) M^-1, from one Gauss-Jordan pass on [M | I].
+
+        Defined for nonsingular matrices only: a singular one raises
+        :class:`ExactDivisionError`.
+        """
+        sign, _, right = self._eliminate(True)
+        return right if sign > 0 else right.scale(-1)
 
     def inverse_unit_det(self) -> "RingMatrix":
-        """Inverse via adjugate/det; requires the determinant to be a unit."""
-        d = self.det()
-        inv = d.unit_inverse()
-        return self.adjugate().scale(inv)
+        """Exact inverse; raises :class:`ExactDivisionError` unless the
+        determinant is a unit (a monomial)."""
+        _, p, right = self._eliminate(True)
+        return right.scale(p.unit_inverse())
 
     # -- serialization -----------------------------------------------------
 

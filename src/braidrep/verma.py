@@ -29,74 +29,18 @@ from math import comb
 
 GENERATORS = ("H", "E", "F")
 
-# bracket table [H,E] = 2E, [H,F] = -2F, [E,F] = H, as structure constants:
-# _BRACKET[x][y] = coefficients of [x, y] in the basis (H, E, F)
-_BRACKET = {
-    ("H", "H"): (0, 0, 0),
-    ("H", "E"): (0, 2, 0),
-    ("H", "F"): (0, 0, -2),
-    ("E", "H"): (0, -2, 0),
-    ("E", "E"): (0, 0, 0),
-    ("E", "F"): (1, 0, 0),
-    ("F", "H"): (0, 0, 2),
-    ("F", "E"): (-1, 0, 0),
-    ("F", "F"): (0, 0, 0),
-}
+# Omega = sum of kappa^-1_ab x_a (x) x_b over the basis (H, E, F), with
+# kappa(H, H) = 8 and kappa(E, F) = kappa(F, E) = 4 the only nonzero values.
+# The order of the pairs fixes the order of the floating-point sums.
+_OMEGA_PAIRS = (
+    (("H", "H"), Fraction(1, 8)),
+    (("E", "F"), Fraction(1, 4)),
+    (("F", "E"), Fraction(1, 4)),
+)
 
 
 class DegenerateWeightWarning(UserWarning):
     """Emitted when a nullspace rank differs from its generic value."""
-
-
-def ad_matrix(x: str):
-    """Matrix of ad(x) on the basis (H, E, F)."""
-    return [[_BRACKET[(x, y)][row] for y in GENERATORS] for row in range(3)]
-
-
-def killing_matrix():
-    """Gram matrix kappa(x, y) = tr(ad x ad y) on the basis (H, E, F)."""
-    ads = {x: ad_matrix(x) for x in GENERATORS}
-    out = []
-    for x in GENERATORS:
-        row = []
-        for y in GENERATORS:
-            prod_trace = sum(
-                ads[x][i][k] * ads[y][k][i] for i in range(3) for k in range(3)
-            )
-            row.append(Fraction(prod_trace))
-        out.append(row)
-    return out
-
-
-def omega_coefficients() -> dict:
-    """Coefficients of Omega = sum kappa^{-1}_{ab} x_a (x) x_b on pairs of
-    basis elements, derived from the inverse Killing matrix."""
-    kappa = killing_matrix()
-    inv = _invert_fraction_matrix(kappa)
-    out = {}
-    for a, xa in enumerate(GENERATORS):
-        for b, xb in enumerate(GENERATORS):
-            if inv[a][b]:
-                out[(xa, xb)] = inv[a][b]
-    return out
-
-
-def _invert_fraction_matrix(m):
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-_OMEGA_PAIRS = tuple(omega_coefficients().items())
 
 
 def as_scalar(lam):

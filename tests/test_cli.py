@@ -237,6 +237,16 @@ def test_kz_rejects_bad_tolerance(capsys, command, tol):
     assert "tolerance" in json.loads(out)["error"]
 
 
+def test_kz_over_its_work_budget_reports_an_error(capsys, monkeypatch):
+    from braidrep import kz
+
+    monkeypatch.setattr(kz, "MAX_TRANSPORT_WORK", 3 * 48**3)
+    argv = ("kz", "monodromy", "--n", "2", "--m", "3", "--lambda", "1/2", "--h", "1", "--word", "s1")
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert "work budget" in json.loads(out)["error"]
+
+
 def test_ybe_reports_invertibility_without_an_adjugate(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("RingMatrix.adjugate called")

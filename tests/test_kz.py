@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from braidrep import kz
 from braidrep.burau import reduced_burau
 from braidrep.kz import (
     KzSpec,
@@ -279,6 +280,15 @@ def test_transport_reports_steps_and_error():
     result = parallel_transport(spec, generator_path(2, 1), 1e-9)
     assert result.steps > 0
     assert 0 <= result.est_error < 1e-6
+
+
+def test_transport_stops_at_its_work_budget(monkeypatch):
+    # d = 4 counts as 48: three attempts fit the budget, one letter needs more
+    spec = KzSpec(2, Fraction(1, 2), 3, h=1)
+    assert parallel_transport(spec, generator_path(2, 1), 1e-9).steps > 3
+    monkeypatch.setattr(kz, "MAX_TRANSPORT_WORK", 3 * 48**3)
+    with pytest.raises(ArithmeticError, match="work budget"):
+        parallel_transport(spec, generator_path(2, 1), 1e-9)
 
 
 def _evaluate_at(matrix, t0: complex) -> np.ndarray:

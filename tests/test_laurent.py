@@ -184,7 +184,7 @@ def test_det_multiplicative_and_transpose():
 
 
 def test_bareiss_matches_cofactor():
-    # the >= 6x6 path must agree with cofactor expansion on its 5x5 blocks
+    # a 6x6 determinant must agree with its Laplace expansion along row 0
     rng = random.Random(31)
     for _ in range(5):
         rows = [[random_poly(rng, "t", 2, 1) for _ in range(6)] for _ in range(6)]
@@ -219,7 +219,7 @@ def _fraction_det(rows):
     return det
 
 
-@pytest.mark.parametrize("size", [6, 7])
+@pytest.mark.parametrize("size", range(1, 8))
 def test_bareiss_against_evaluation_oracle(size):
     # evaluating at t = p/q is a ring homomorphism, so the polynomial
     # determinant evaluated there must match the rational determinant of the
@@ -231,6 +231,76 @@ def test_bareiss_against_evaluation_oracle(size):
         def ev(p):
             return sum(c * point ** e for e, c in p.terms.items())
         assert ev(det_poly) == _fraction_det([[ev(p) for p in row] for row in rows])
+
+
+def _laplace_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = LaurentPoly.constant(0)
+    for j, a in enumerate(rows[0]):
+        term = a * _laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def _laplace_adjugate(rows):
+    # adj[i][j] = (-1)^(i+j) times the minor without row j and column i
+    n = len(rows)
+    if n == 1:
+        return [[LaurentPoly.constant(1)]]
+    return [
+        [
+            (1 if (i + j) % 2 == 0 else -1)
+            * _laplace_det([row[:i] + row[i + 1 :] for r, row in enumerate(rows) if r != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+def test_adjugate_and_inverse_against_laplace_oracle(fractions):
+    # a zero (0, 0) entry forces a row swap at the first pivot
+    rng = random.Random(61 + fractions)
+    checked = 0
+    for size in (1, 2, 3, 4, 5):
+        rows = [[random_poly(rng, "t", 2, 2, fractions) for _ in range(size)] for _ in range(size)]
+        rows[0][0] = LaurentPoly.constant(0)
+        if size == 1:
+            rows[0][0] = 3 * T
+        m = RingMatrix.from_rows(rows)
+        if m.det().is_zero():
+            continue
+        checked += 1
+        adj = m.adjugate()
+        assert [list(row) for row in adj.entries] == _laplace_adjugate([list(r) for r in m.entries])
+        assert (m @ adj) == RingMatrix.identity(size).scale(m.det())
+    assert checked >= 4
+    # unimodular: a unit triangular factor times a swap, conjugated by a dense matrix
+    for size in (2, 4, 6):
+        lower = RingMatrix.from_rows(
+            [
+                [random_poly(rng, "t", 2, 2, fractions) if c < r else T ** r if c == r else 0 for c in range(size)]
+                for r in range(size)
+            ]
+        )
+        swap = RingMatrix.from_rows([[int(c == (r + 1) % size) for c in range(size)] for r in range(size)])
+        m = lower @ swap @ lower.transpose()
+        assert m[0, 0].is_zero()
+        inv = m.inverse_unit_det()
+        assert (m @ inv).is_identity() and (inv @ m).is_identity()
+        assert inv == m.adjugate().scale(m.det().unit_inverse())
+
+
+def test_singular_matrix_has_zero_det_and_no_inverse():
+    rows = [[T, 1 - T, T ** 2], [2 * T, 2 - 2 * T, 2 * T ** 2], [1, T, 5]]
+    m = RingMatrix.from_rows(rows)
+    assert m.det() == 0
+    with pytest.raises(ExactDivisionError):
+        m.inverse_unit_det()
+    with pytest.raises(ExactDivisionError):
+        RingMatrix.zero(3, 3).inverse_unit_det()
+    assert RingMatrix.zero(3, 3).det() == 0
 
 
 def test_matrix_json_roundtrip():

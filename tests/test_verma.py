@@ -9,16 +9,15 @@ from math import comb
 import pytest
 
 from braidrep.verma import (
+    _OMEGA_PAIRS,
     DegenerateWeightWarning,
     casimir_eigenvalue,
     equivariance_check,
     generic_null_dim,
     kd_relation_check,
     kernel_basis_exact,
-    killing_matrix,
     leg_permutation_matrix,
     nullspace_basis,
-    omega_coefficients,
     omega_matrix,
     tensor_act,
     tensor_generator_matrix,
@@ -44,24 +43,17 @@ def _product(a, b):
     return [[sum(row[k] * b[k][c] for k in range(len(b))) for c in range(len(b[0]))] for row in a]
 
 
-def test_killing_form_against_hand_written_ad_matrices():
-    ads = {"H": AD_H, "E": AD_E, "F": AD_F}
-    kappa = killing_matrix()
+def test_omega_constant_inverts_the_killing_form():
+    # kappa(x, y) = tr(ad x ad y) from the hand-written ad matrices; Omega's
+    # coefficient matrix C must satisfy kappa . C = I
     names = ("H", "E", "F")
-    for i, x in enumerate(names):
-        for j, y in enumerate(names):
-            assert kappa[i][j] == _trace_product(ads[x], ads[y])
-    assert kappa[0][0] == 8  # kappa(H, H)
-    assert kappa[1][2] == 4  # kappa(E, F)
-    assert kappa[1][1] == 0  # kappa(E, E)
-
-
-def test_omega_normalization():
-    assert omega_coefficients() == {
-        ("H", "H"): Fraction(1, 8),
-        ("E", "F"): Fraction(1, 4),
-        ("F", "E"): Fraction(1, 4),
-    }
+    ads = {"H": AD_H, "E": AD_E, "F": AD_F}
+    kappa = [[_trace_product(ads[x], ads[y]) for y in names] for x in names]
+    assert (kappa[0][0], kappa[1][2], kappa[1][1]) == (8, 4, 0)
+    coeffs = dict(_OMEGA_PAIRS)
+    c = [[coeffs.get((x, y), 0) for y in names] for x in names]
+    assert _product(kappa, c) == [[int(i == j) for j in range(3)] for i in range(3)]
+    assert [pair for pair, _ in _OMEGA_PAIRS] == [("H", "H"), ("E", "F"), ("F", "E")]
 
 
 def test_verma_action_formulas():

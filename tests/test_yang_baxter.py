@@ -71,6 +71,12 @@ def test_flip_representation_is_permutation_action():
                     assert m.entries[r][col] == want
 
 
+def test_inverse_letter_of_a_64x64_flip_is_the_flip():
+    # the flip is an involution, so the exact inverse of flip_r(8) is itself
+    spec = flip_r(8)
+    assert rep_from_r(spec, 2, BraidWord.parse("s1^-1", 2)) == spec.matrix
+
+
 def test_identity_word_and_inverse_words():
     assert rep_from_r(rq_r(), 3, BraidWord(3)).is_identity()
     rng = random.Random(12)
@@ -199,11 +205,9 @@ def _dense_rep(spec, n, w):
 
 
 def test_rep_from_r_matches_dense_kronecker_products():
-    # flip_r(3) stays at n <= 4 (81 dimensions) to keep the dense side cheap,
-    # and takes positive letters: its R is an involution, and the 9x9
-    # adjugate inverse would cost more than the rest of the test
+    # flip_r(3) stays at n <= 4 (81 dimensions) to keep the dense side cheap
     rng = random.Random(41)
-    specs = [(rq_r(), 6, (1, -1)), (flip_r(3), 4, (1,)), (_complex_rq(0.6 - 0.9j), 6, (1, -1))]
+    specs = [(rq_r(), 6, (1, -1)), (flip_r(3), 4, (1, -1)), (_complex_rq(0.6 - 0.9j), 6, (1, -1))]
     for _ in range(40):
         spec, top, signs = rng.choice(specs)
         n = rng.randint(2, top)
