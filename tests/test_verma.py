@@ -43,16 +43,26 @@ def _product(a, b):
     return [[sum(row[k] * b[k][c] for k in range(len(b))) for c in range(len(b[0]))] for row in a]
 
 
-def test_omega_constant_inverts_the_killing_form():
+def test_killing_form_against_hand_written_ad_matrices():
     # kappa(x, y) = tr(ad x ad y) from the hand-written ad matrices; Omega's
     # coefficient matrix C must satisfy kappa . C = I
     names = ("H", "E", "F")
     ads = {"H": AD_H, "E": AD_E, "F": AD_F}
     kappa = [[_trace_product(ads[x], ads[y]) for y in names] for x in names]
-    assert (kappa[0][0], kappa[1][2], kappa[1][1]) == (8, 4, 0)
+    assert kappa[0][0] == 8  # kappa(H, H)
+    assert kappa[1][2] == 4  # kappa(E, F)
+    assert kappa[1][1] == 0  # kappa(E, E)
     coeffs = dict(_OMEGA_PAIRS)
     c = [[coeffs.get((x, y), 0) for y in names] for x in names]
     assert _product(kappa, c) == [[int(i == j) for j in range(3)] for i in range(3)]
+
+
+def test_omega_normalization():
+    assert dict(_OMEGA_PAIRS) == {
+        ("H", "H"): Fraction(1, 8),
+        ("E", "F"): Fraction(1, 4),
+        ("F", "E"): Fraction(1, 4),
+    }
     assert [pair for pair, _ in _OMEGA_PAIRS] == [("H", "H"), ("E", "F"), ("F", "E")]
 
 
