@@ -448,8 +448,8 @@ class RingMatrix:
             p = pivot_row.pop(k)  # the left block stays implicit: p on the diagonal
             inv = prev.unit_inverse() if prev.is_monomial() else None
             for i in range(0 if augment else k + 1, n):
-                if i == k:
-                    continue
+                if i == k or (k not in rows[i] and p == prev):
+                    continue  # the pivot row, or a row that p / prev leaves unchanged
                 row = rows[i]
                 a = row.pop(k, None)
                 new = {j: p * x for j, x in row.items()}

@@ -214,41 +214,40 @@ def leg_permutation_matrix(n: int, lam, m: int, images) -> list:
 # -- exact linear algebra over Fractions -------------------------------------
 
 def kernel_basis_exact(mat, cols: int) -> list:
-    """Exact kernel of a Fraction matrix via Gauss-Jordan elimination;
-    returns a list of coordinate vectors (tuples of Fractions)."""
-    rows = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((k for k in range(r, rows) if a[k][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for k in range(rows):
-            if k != r and a[k][c]:
-                f = a[k][c]
-                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -a[rr][fc]
-        out.append(tuple(v))
-    return out
+    """Exact kernel of a Fraction matrix from its reduced row echelon form,
+    built bottom row first on sparse rows {col: Fraction} keyed by pivot
+    column, with the pivot's 1 implicit.  On E each new pivot then lies left
+    of the earlier rows, which need no back-elimination.  One coordinate
+    tuple per free column f: 1 at f, 0 at the other free columns, and minus
+    the pivot rows' f-entries at their pivot columns."""
+    reduced = {}
+    for dense in reversed(mat):
+        row = {c: Fraction(x) for c, x in enumerate(dense) if x}
+        for p in [c for c in row if c in reduced]:
+            a = -row.pop(p)
+            for c, x in reduced[p].items():
+                _accumulate(row, c, a * x)
+        if row:
+            p = min(row)
+            pivot = row.pop(p)
+            row = {c: x / pivot for c, x in row.items()}
+            for other in reduced.values():
+                if p in other:
+                    a = -other.pop(p)
+                    for c, x in row.items():
+                        _accumulate(other, c, a * x)
+            reduced[p] = row
+    zero, one = Fraction(0), Fraction(1)
+    return [
+        tuple(-reduced[c][f] if f in reduced.get(c, ()) else one if c == f else zero for c in range(cols))
+        for f in range(cols)
+        if f not in reduced
+    ]
 
 
 def is_generic(lam, m: int) -> bool:
-    """Generic highest weights avoid the small non-negative integers
-    0..2m where nullspace ranks can drop."""
+    """The KZ layer's generic weights avoid the integers 0..2m; nullspace
+    ranks can drop only on 0..m-1, as the triangular solve covers the rest."""
     lam = as_scalar(lam)
     if isinstance(lam, Fraction):
         return not (lam.denominator == 1 and 0 <= lam <= 2 * m)
@@ -293,8 +292,8 @@ def nullspace_basis(n: int, lam, m: int) -> list:
     rationals, as coordinate tuples in weight-basis order.
 
     At the integers lam in {0, ..., m-1}, where the rank can drop, the kernel
-    comes from Gauss-Jordan elimination and a rank different from the
-    generic value warns; every other weight takes the triangular solve."""
+    comes from the reduced row echelon form of E and a rank different from
+    the generic value warns; every other weight takes the triangular solve."""
     lam = _rational_weight(lam)
     basis = weight_space_basis(n, lam, m)
     if lam.denominator == 1 and 0 <= lam < m:

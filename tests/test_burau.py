@@ -162,3 +162,58 @@ def test_out_of_range_letters_rejected_before_burau():
             reduced_burau(BraidWord(3, letters))
     with pytest.raises(ValueError):
         reduced_generator(4, 4, -1)
+
+
+# independent oracle: Burau as the abelianized Fox Jacobian of the Artin
+# action on the free group F_n, on words of signed ints (+j is x_j, -j its
+# inverse) and polynomials as {exponent: coefficient} dicts
+
+
+def _artin_images(w):
+    """Freely reduced images of x_1..x_n under w, letters substituted in
+    word order."""
+    images = [[j] for j in range(1, w.n + 1)]
+    for i, sign in w.letters:
+        if sign > 0:  # x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i
+            sub = {i: [i, i + 1, -i], i + 1: [i]}
+        else:  # x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
+            sub = {i: [i + 1], i + 1: [-i - 1, i, i + 1]}
+        new_images = []
+        for word in images:
+            reduced = []
+            for g in word:
+                image = sub.get(abs(g), [abs(g)])
+                for h in image if g > 0 else [-x for x in reversed(image)]:
+                    if reduced and reduced[-1] == -h:
+                        reduced.pop()
+                    else:
+                        reduced.append(h)
+            new_images.append(reduced)
+        images = new_images
+    return images
+
+
+def _fox_jacobian_at_t(images, n):
+    """J[i][j] = d(image of x_i) / d x_j with every x_k sent to t: a letter
+    x_j contributes t^e, a letter x_j^-1 contributes -t^(e-1), where e is
+    the exponent sum of the letters before it."""
+    jac = [[{} for _ in range(n)] for _ in range(n)]
+    for i, word in enumerate(images):
+        degree = 0
+        for g in word:
+            entry = jac[i][abs(g) - 1]
+            exponent, coeff = (degree, 1) if g > 0 else (degree - 1, -1)
+            degree += 1 if g > 0 else -1
+            entry[exponent] = entry.get(exponent, 0) + coeff
+            if not entry[exponent]:
+                del entry[exponent]
+    return jac
+
+
+def test_burau_is_the_abelianized_fox_jacobian():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(1, 10))))
+        terms = [[e.terms for e in row] for row in burau(w).matrix.entries]
+        assert terms == _fox_jacobian_at_t(_artin_images(w), n), w

@@ -171,6 +171,24 @@ def test_computation_error_exit_code(capsys):
     assert "error" in json.loads(out)
 
 
+def test_error_without_a_message_reports_its_type(capsys, monkeypatch):
+    from braidrep import cli
+
+    def exhausted(word):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "burau_matrix", exhausted)
+    code, out = run_cli(capsys, "burau", "--n", "3", "s1")
+    assert code == 1
+    assert json.loads(out) == {"error": "MemoryError"}
+
+
+def test_verma_dims_at_a_degenerate_weight_on_two_strands(capsys):
+    code, out = run_cli(capsys, "verma", "dims", "--n", "2", "--m", "300", "--lambda", "1")
+    assert code == 0
+    assert out == '{"weight_dim": 301, "null_dim": 1}\n'
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])

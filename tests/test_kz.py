@@ -328,6 +328,63 @@ def test_nullspace_rep_at_m1_is_reduced_burau(n, lam, tau):
         assert not np.allclose(np.poly(kz_matrix), np.poly(wrong), rtol=0, atol=1e-6)
 
 
+def _lkb_generators(n, q, t):
+    """Lawrence-Krammer-Bigelow matrices of sigma_1..sigma_{n-1} on the basis
+    x_jk (j < k), columns as images (Krammer, Ann. Math. 155 (2002))."""
+    pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    gens = []
+    for i in range(1, n):
+        g = np.zeros((len(pairs), len(pairs)), dtype=complex)
+        for col, (j, k) in enumerate(pairs):
+            if i == j - 1:
+                image = {(i, k): q, (i, j): q * q - q, (j, k): 1 - q}
+            elif i == j and i == k - 1:
+                image = {(j, k): -t * q * q}
+            elif i == j:
+                image = {(j + 1, k): 1}
+            elif i == k - 1:
+                image = {(j, i): q, (j, k): 1 - q, (i, k): -(q * q - q) * t}
+            elif i == k:
+                image = {(j, k + 1): 1}
+            else:
+                image = {(j, k): 1}
+            for pair, c in image.items():
+                g[pairs.index(pair), col] += c
+        gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize(
+    "n, lam, tau",
+    [(3, Fraction(1, 3), 1.7), (4, Fraction(7, 3), 2.3), (4, 0.4 - 0.3j, 1.9)],
+)
+def test_nullspace_rep_at_m2_is_lkb(n, lam, tau):
+    """At m = 2 the KZ nullspace representation is c^{e(w)} times LKB at
+    q = exp(-pi i lam / (2 tau)), t = -exp(pi i / (2 tau)), with the c of
+    m = 1, up to conjugation: compare tr (c^{-e(w)} M(w))^p with tr L(w)^p
+    for p = 1..d."""
+    q = cmath.exp(-1j * math.pi * complex(lam) / (2 * tau))
+    t = -cmath.exp(1j * math.pi / (2 * tau))
+    c = cmath.exp(1j * math.pi * complex(lam) ** 2 / (8 * tau))
+    right, wrong = _lkb_generators(n, q, t), _lkb_generators(n, q, -t)
+    rng = random.Random(n)
+    spec = KzSpec(n, lam, 2, tau=tau, restrict_to_nullspace=True)
+    errors = {"right": [], "wrong": []}
+    for _ in range(3):
+        w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(6)))
+        kz_matrix = nullspace_rep(spec, w, tol=1e-11).matrix / c ** exponent_sum(w)
+        for name, gens in (("right", right), ("wrong", wrong)):
+            lkb = np.eye(len(kz_matrix), dtype=complex)
+            for i, sign in w.letters:  # first letter acts first
+                lkb = (gens[i - 1] if sign > 0 else np.linalg.inv(gens[i - 1])) @ lkb
+            for p in range(1, len(lkb) + 1):
+                expected = np.trace(np.linalg.matrix_power(lkb, p))
+                got = np.trace(np.linalg.matrix_power(kz_matrix, p))
+                errors[name].append(abs(got - expected) / max(1.0, abs(expected)))
+    assert max(errors["right"]) < 1e-9
+    assert max(errors["wrong"]) > 1e-3  # the sign of t matters
+
+
 @pytest.mark.parametrize("lam", [1 + 0j, 3 + 0j])
 def test_nullspace_matrix_rejects_degenerate_complex_weight(lam):
     with pytest.raises(ValueError):

@@ -263,18 +263,44 @@ def test_coproduct_casimir_lemma():
                 assert lhs == 2 * omega[i][j]
 
 
+def _assert_reduced_echelon_kernel(mat, cols):
+    """The kernel basis read off the reduced row echelon form: vector v of
+    free column f is in ker M, 1 at f, 0 at the other free columns, and
+    supported on f and the pivot columns left of f; one per free column."""
+    kernel = kernel_basis_exact(mat, cols)
+    assert len(kernel) == cols - _rank(mat, cols)
+    free = [max(k for k, x in enumerate(v) if x) for v in kernel]
+    assert free == sorted(set(free))
+    for v, f in zip(kernel, free):
+        support = {k for k, x in enumerate(v) if x}
+        assert len(v) == cols and all(type(x) is Fraction for x in v)
+        assert all(sum(row[k] * v[k] for k in support) == 0 for row in mat)
+        assert v[f] == 1
+        assert all(v[g] == 0 for g in free if g != f)
+        assert support <= {f} | {k for k in range(f) if k not in free}
+
+
 def test_kernel_basis_exact_is_exact():
-    rng = random.Random(6)
-    for _ in range(20):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
-        mat = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
-        kernel = kernel_basis_exact(mat, cols)
-        for v in kernel:
-            image = [sum(row[k] * v[k] for k in range(cols)) for row in mat]
-            assert all(x == 0 for x in image)
-        # rank-nullity
-        rank = cols - len(kernel)
-        assert 0 <= rank <= min(rows, cols)
+    rng = random.Random(16)
+
+    def entry(density):
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+
+    for k in range(120):
+        rows, cols = rng.randint(0, 7), rng.randint(1, 8)
+        if k % 3 < 2:  # sparse, then dense
+            mat = [[entry(0.25 if k % 3 else 1.0) for _ in range(cols)] for _ in range(rows)]
+        else:  # rank at most r, as a product of thin factors
+            r = rng.randint(0, 3)
+            a = [[entry(1.0) for _ in range(r)] for _ in range(rows)]
+            b = [[entry(0.6) for _ in range(cols)] for _ in range(r)]
+            mat = [[sum((x * b[t][c] for t, x in enumerate(row)), Fraction(0)) for c in range(cols)] for row in a]
+        _assert_reduced_echelon_kernel(mat, cols)
+    for n in range(2, 5):
+        for m in range(1, 5):
+            for lam in range(m):
+                mat = tensor_generator_matrix("E", n, Fraction(lam), m)
+                _assert_reduced_echelon_kernel(mat, weight_dim(n, m))
 
 
 def test_weight_basis_order_matches_product_filter():
@@ -295,8 +321,22 @@ def _as_dict(basis, coords):
     return {idx: c for idx, c in zip(basis.indices, coords) if c}
 
 
-def _rank(vectors, cols):
-    return cols - len(kernel_basis_exact(vectors, cols)) if vectors else 0
+def _rank(mat, cols):
+    """Rank by dense forward elimination over Fractions, written out here
+    as an oracle independent of the library."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 @pytest.mark.parametrize("m", range(4))
