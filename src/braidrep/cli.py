@@ -47,7 +47,19 @@ def _word(args) -> words.BraidWord:
     return words.BraidWord.parse(args.word, args.n)
 
 
+# Strand limits, each set at a case measured as a child process on 2 CPUs
+# (wall time, peak RSS; README, "Input limits").
+MAX_BRAID_N = 300_000  # braid: n = 300000 took 1.5 s, 123 MB
+MAX_BURAU_N = 2000  # burau (n^2 exact entries and their JSON): n = 2000 took 3.4-3.7 s, 93 MB
+
+
+def _check_strands(n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"strand count {n} is over the limit {limit}")
+
+
 def cmd_braid(args) -> dict:
+    _check_strands(args.n, MAX_BRAID_N)
     w = _word(args)
     perm = words.underlying_permutation(w)
     return {
@@ -60,6 +72,7 @@ def cmd_braid(args) -> dict:
 
 
 def cmd_burau(args) -> dict:
+    _check_strands(args.n, MAX_BURAU_N)
     w = _word(args)
     image = reduced_burau_matrix(w) if args.reduced else burau_matrix(w)
     return {"n": image.n, "reduced": image.reduced, "matrix": image.matrix.to_json()}
@@ -106,9 +119,9 @@ def _check_level(m: int) -> None:
 
 # Size limits of the Verma and KZ subcommands, each set just above a case
 # measured on 2 CPUs (child wall time and peak RSS; README, "Input limits").
-MAX_WEIGHT_DIM = 4000  # verma dims: d = 3876 took 1.6 s, 118 MB
+MAX_WEIGHT_DIM = 4000  # verma dims: d = 3876 took 1.5-2.1 s, 27 MB
 # verma omega (d^2 exact entries and their JSON): d = 1365 took 3.4 s, 171 MB;
-# verma dims at lam in 0..m-1 (echelon form): n=5, m=11, lam=5 took 2.6 s, 36 MB
+# verma dims at lam in 0..m-1 (echelon form): n=5, m=11, lam=5 took 2.0-2.1 s, 27 MB
 MAX_DENSE_DIM = 1400
 MAX_KZ_DIM = 500  # kz, O(d^3) per DP5 step: one letter at d = 462 took 5.3 s
 MAX_KZ_ENTRIES = 4_000_000  # kz Omega stack, P d^2 entries: 3.2e6 took 154 MB
@@ -137,7 +150,7 @@ def cmd_verma_dims(args) -> dict:
     lam = parse_weight(args.lam)
     eliminates = isinstance(lam, Fraction) and lam.denominator == 1 and 0 <= lam < args.m
     _check_size(args.n, args.m, MAX_DENSE_DIM if eliminates else MAX_WEIGHT_DIM)
-    null = verma.nullspace_basis(args.n, lam, args.m)
+    null = verma._null_vectors(args.n, verma._rational_weight(lam), args.m)
     return {"weight_dim": verma.weight_dim(args.n, args.m), "null_dim": len(null)}
 
 

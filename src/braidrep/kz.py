@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .verma import (
+    _coordinates,
     _null_vectors,
     as_scalar,
     is_generic,
@@ -248,13 +249,8 @@ def nullspace_matrix(n: int, lam, m: int) -> np.ndarray:
     lam = as_scalar(lam)
     if not is_generic(lam, m):
         raise ValueError(f"highest weight {lam} is degenerate for m={m}")
-    basis = weight_space_basis(n, lam, m)
-    vectors = _null_vectors(n, lam, m)
-    out = np.zeros((len(basis), len(vectors)), dtype=complex)
-    for col, vector in enumerate(vectors):
-        for idx, c in vector.items():
-            out[basis.position(idx), col] = complex(c)
-    return out
+    coords = _coordinates(_null_vectors(n, lam, m), weight_space_basis(n, lam, m).indices, 0)
+    return np.array(coords, dtype=complex).reshape(len(coords), weight_dim(n, m)).T.copy()
 
 
 def connection_value(spec: KzSpec, point, velocity) -> np.ndarray:
@@ -380,10 +376,8 @@ def flatness_residual(spec: KzSpec, point, tangent_u, tangent_v) -> float:
     [A(u), A(v)] of the connection values; with the Kohno-Drinfeld
     relations in force this vanishes to rounding error.
     """
-    system = _system(spec)
-    a_u = system.connection(point, tangent_u)
-    a_v = system.connection(point, tangent_v)
-    num = float(np.max(np.abs(a_u @ a_v - a_v @ a_u)))
+    a_u, a_v = (connection_value(spec, point, t) for t in (tangent_u, tangent_v))
+    num = float(np.max(np.abs(curvature_form(spec, point, tangent_u, tangent_v))))
     den = float(np.max(np.abs(a_u)) * np.max(np.abs(a_v)))
     return num / den if den > 0 else num
 

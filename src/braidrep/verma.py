@@ -213,16 +213,14 @@ def leg_permutation_matrix(n: int, lam, m: int, images) -> list:
 
 # -- exact linear algebra over Fractions -------------------------------------
 
-def kernel_basis_exact(mat, cols: int) -> list:
-    """Exact kernel of a Fraction matrix from its reduced row echelon form,
-    built bottom row first on sparse rows {col: Fraction} keyed by pivot
-    column, with the pivot's 1 implicit.  On E each new pivot then lies left
-    of the earlier rows, which need no back-elimination.  One coordinate
-    tuple per free column f: 1 at f, 0 at the other free columns, and minus
-    the pivot rows' f-entries at their pivot columns."""
+def _echelon_kernel(rows, columns) -> list:
+    """Kernel of sparse rows {column: Fraction} (consumed) from their reduced
+    row echelon form, keyed by pivot column with the pivot's 1 implicit.  Fed
+    E bottom row first, each new pivot lies left of the earlier rows, which
+    need no back-elimination.  One vector per free column f of ``columns``:
+    1 at f and minus the pivot rows' f-entries at their pivot columns."""
     reduced = {}
-    for dense in reversed(mat):
-        row = {c: Fraction(x) for c, x in enumerate(dense) if x}
+    for row in rows:
         for p in [c for c in row if c in reduced]:
             a = -row.pop(p)
             for c, x in reduced[p].items():
@@ -237,12 +235,18 @@ def kernel_basis_exact(mat, cols: int) -> list:
                     for c, x in row.items():
                         _accumulate(other, c, a * x)
             reduced[p] = row
-    zero, one = Fraction(0), Fraction(1)
-    return [
-        tuple(-reduced[c][f] if f in reduced.get(c, ()) else one if c == f else zero for c in range(cols))
-        for f in range(cols)
-        if f not in reduced
-    ]
+    kernel = {f: {f: Fraction(1)} for f in columns if f not in reduced}
+    for p, row in reduced.items():
+        for f, x in row.items():
+            kernel[f][p] = -x
+    return list(kernel.values())
+
+
+def kernel_basis_exact(mat, cols: int) -> list:
+    """Exact kernel of a Fraction matrix (list of rows), as one coordinate
+    tuple per free column of its reduced row echelon form."""
+    rows = ({c: Fraction(x) for c, x in enumerate(dense) if x} for dense in reversed(mat))
+    return _coordinates(_echelon_kernel(rows, range(cols)), range(cols), Fraction(0))
 
 
 def is_generic(lam, m: int) -> bool:
@@ -255,17 +259,30 @@ def is_generic(lam, m: int) -> bool:
 
 
 def _null_vectors(n: int, lam, m: int) -> list:
-    """Basis of ker E on W[m] for lam outside {0, ..., m-1}, as sparse
-    vectors: one per multi-index J with j_1 = 0, equal to 1 at J and 0 at
-    every other index with j_1 = 0.  Runs on Fraction and complex lam alike.
+    """Basis of N[n lam - 2m] = ker E inside W[n lam - 2m], as sparse
+    vectors {multi-index: c}, for Fraction and complex lam alike.
 
-    E lowers j_1 only through leg 1, which sends (k+1, J') to (k, J') with
-    coefficient (k+1)(lam-k); legs 2..n keep j_1.  So the part of E v at
-    j_1 = k fixes the layer j_1 = k+1 of v from layer k by one division.
-    """
+    At the integers lam in {0, ..., m-1}, where the rank can drop, it is the
+    kernel of E's rows, read off the images of the unit vectors; a rank off
+    the generic value warns.  Elsewhere there is one vector per J with
+    j_1 = 0: 1 at J and 0 at the other such indices.  E lowers j_1 only on
+    leg 1, sending (k+1, J') to (k, J') times (k+1)(lam-k), so the part of
+    E v at j_1 = k fixes the layer j_1 = k+1 of v from layer k."""
+    basis = weight_space_basis(n, lam, m)
     one = lam - lam + 1
+    if isinstance(lam, Fraction) and lam.denominator == 1 and 0 <= lam < m:
+        rows: dict = {}
+        for idx in basis.indices:
+            for tgt, c in tensor_act("E", {idx: one}, n, lam, m).items():
+                rows.setdefault(tgt, {})[idx] = c
+        # multi-indices compare in weight-basis order: feed E bottom row first
+        kernel = _echelon_kernel((rows[t] for t in sorted(rows, reverse=True)), basis.indices)
+        if len(kernel) != generic_null_dim(n, m):
+            message = f"nullspace at lam={lam}, n={n}, m={m} has dimension {len(kernel)}"
+            warnings.warn(f"{message} (generic value {generic_null_dim(n, m)})", DegenerateWeightWarning)
+        return kernel
     out = []
-    for start in weight_space_basis(n, lam, m).indices:
+    for start in basis.indices:
         if start[0]:
             break  # lexicographic order puts the j_1 = 0 indices first
         vector = {start: one}
@@ -279,6 +296,16 @@ def _null_vectors(n: int, lam, m: int) -> list:
     return out
 
 
+def _coordinates(vectors, keys, zero) -> list:
+    """Sparse vectors {key: c} as coordinate tuples in the order of ``keys``."""
+    position = {k: i for i, k in enumerate(keys)}
+    coords = [[zero] * len(position) for _ in vectors]
+    for row, vector in zip(coords, vectors):
+        for k, c in vector.items():
+            row[position[k]] = c
+    return [tuple(row) for row in coords]
+
+
 def _rational_weight(lam) -> Fraction:
     """``lam`` as a Fraction; exact results need a rational highest weight."""
     lam = as_scalar(lam)
@@ -289,30 +316,10 @@ def _rational_weight(lam) -> Fraction:
 
 def nullspace_basis(n: int, lam, m: int) -> list:
     """Basis of N[n lam - 2m] = ker E inside W[n lam - 2m], exact over
-    rationals, as coordinate tuples in weight-basis order.
-
-    At the integers lam in {0, ..., m-1}, where the rank can drop, the kernel
-    comes from the reduced row echelon form of E and a rank different from
-    the generic value warns; every other weight takes the triangular solve."""
+    rationals: the vectors of ``_null_vectors``, which warns where the rank
+    drops, as coordinate tuples in weight-basis order."""
     lam = _rational_weight(lam)
-    basis = weight_space_basis(n, lam, m)
-    if lam.denominator == 1 and 0 <= lam < m:
-        kernel = kernel_basis_exact(tensor_generator_matrix("E", n, lam, m), len(basis))
-        expected = generic_null_dim(n, m)
-        if len(kernel) != expected:
-            warnings.warn(
-                f"nullspace at lam={lam}, n={n}, m={m} has dimension {len(kernel)} "
-                f"(generic value {expected})",
-                DegenerateWeightWarning,
-            )
-        return kernel
-    kernel = []
-    for vector in _null_vectors(n, lam, m):
-        coords = [Fraction(0)] * len(basis)
-        for idx, c in vector.items():
-            coords[basis.position(idx)] = c
-        kernel.append(tuple(coords))
-    return kernel
+    return _coordinates(_null_vectors(n, lam, m), weight_space_basis(n, lam, m).indices, Fraction(0))
 
 
 # -- relation checks, by exact sparse composition on every basis vector ------
@@ -351,8 +358,7 @@ def equivariance_check(n: int, lam, m: int) -> bool:
                 lhs = _omega_act(tensor_act(x, unit, n, lam, m), legs, lam)
                 if lhs != tensor_act(x, _omega_act(unit, legs, lam), n, lam, m):
                     return False
-    for v in nullspace_basis(n, lam, m):
-        vector = {idx: c for idx, c in zip(basis.indices, v) if c}
+    for vector in _null_vectors(n, lam, m):
         if any(tensor_act("E", _omega_act(vector, legs, lam), n, lam, m) for legs in placements):
             return False
     return True

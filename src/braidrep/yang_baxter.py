@@ -162,8 +162,8 @@ def compose_flip(spec: RMatrixSpec) -> RMatrixSpec:
 def _columns(matrix, exact: bool) -> tuple:
     """The nonzero ``(row, entry)`` pairs of each column of a d^2 x d^2
     matrix, as the table `_leg_product` applies."""
-    grid = matrix.entries if exact else matrix.tolist()
-    return tuple(tuple((r, e) for r, e in enumerate(col) if e != 0) for col in zip(*grid))
+    grid, is_zero = (matrix.entries, LaurentPoly.is_zero) if exact else (matrix.tolist(), (0j).__eq__)
+    return tuple(tuple((r, e) for r, e in enumerate(col) if not is_zero(e)) for col in zip(*grid))
 
 
 def _leg_product(spec: RMatrixSpec, n: int, factors):

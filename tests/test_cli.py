@@ -396,6 +396,27 @@ def test_size_limits_admit_their_boundary():
     cli._check_size(1, 10**30, cli.MAX_DENSE_DIM)
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [(("braid", "s1"), "MAX_BRAID_N"), (("burau", "s1"), "MAX_BURAU_N"), (("burau", "--reduced", "s1"), "MAX_BURAU_N")],
+    ids=["braid", "burau", "burau-reduced"],
+)
+def test_strand_limits_reject_before_building(capsys, monkeypatch, argv, limit):
+    from braidrep import cli, words
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a braid word")
+
+    monkeypatch.setattr(words.BraidWord, "parse", staticmethod(refuse))
+    for name in ("burau_matrix", "reduced_burau_matrix"):
+        monkeypatch.setattr(cli, name, refuse)
+    n = getattr(cli, limit)
+    code, out = run_cli(capsys, argv[0], "--n", str(n), *argv[1:])
+    assert (code, json.loads(out)) == (1, {"error": "built a braid word"})
+    code, out = run_cli(capsys, argv[0], "--n", str(n + 1), *argv[1:])
+    assert (code, json.loads(out)) == (1, {"error": f"strand count {n + 1} is over the limit {n}"})
+
+
 def test_ybe_rejects_dimension_over_size_cap(tmp_path, capsys, monkeypatch):
     from braidrep import yang_baxter
 

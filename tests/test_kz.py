@@ -1,6 +1,7 @@
 """KZ transport: paths, connection values, monodromy, flatness, homotopy."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -383,6 +384,63 @@ def test_nullspace_rep_at_m2_is_lkb(n, lam, tau):
                 errors[name].append(abs(got - expected) / max(1.0, abs(expected)))
     assert max(errors["right"]) < 1e-9
     assert max(errors["wrong"]) > 1e-3  # the sign of t matters
+
+
+def _quantum_braid_generators(n, m, lam, tau, sign=1):
+    """The U_q(sl2) Verma braiding c = flip q^{H(x)H/2} sum_k q^{k(k-1)/2}
+    (q - q^-1)^k / [k]! E^k (x) F^k on legs (i, i+1), i = 1..n-1, of the
+    degree-m part of M_lam^(x)n, where E F^j v = [j][lam-j+1] F^{j-1} v and
+    q = exp(sign pi i / (4 tau)).  Terms with k > m vanish there, so the
+    truncated sum is exact; columns are the images of the basis vectors."""
+
+    def qpow(x):
+        return cmath.exp(sign * 1j * math.pi * x / (4 * tau))
+
+    def qnum(x):
+        return (qpow(x) - qpow(-x)) / (qpow(1) - qpow(-1))
+
+    lam = complex(lam)
+    basis = [j for j in itertools.product(range(m + 1), repeat=n) if sum(j) == m]
+    gens = []
+    for i in range(n - 1):
+        g = np.zeros((len(basis), len(basis)), dtype=complex)
+        for col, idx in enumerate(basis):
+            a, b = idx[i], idx[i + 1]
+            c = 1
+            for k in range(a + 1):  # E^k (x) F^k: (a, b) -> (a - k, b + k), then the flip
+                if k:
+                    c *= qpow(k - 1) * (qpow(1) - qpow(-1)) / qnum(k) * qnum(a - k + 1) * qnum(lam - a + k)
+                row = basis.index(idx[:i] + (b + k, a - k) + idx[i + 2 :])
+                g[row, col] += c * qpow((lam - 2 * (a - k)) * (lam - 2 * (b + k)) / 2)
+        gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize(
+    "n, m, lam, tau",
+    [(2, 2, Fraction(1, 3), 1.7), (3, 2, Fraction(7, 3), 2.3), (4, 2, 0.4 - 0.3j, 1.9), (3, 4, Fraction(1, 3), 2.1)],
+)
+def test_monodromy_is_the_quantum_group_braiding(n, m, lam, tau):
+    """Drinfeld-Kohno: the KZ monodromy on W[m] is the U_q(sl2) Verma
+    braiding at q = exp(pi i / (4 tau)), with no scalar factor, up to
+    conjugation: compare tr M(w)^p for p = 1..d."""
+    right, wrong = (_quantum_braid_generators(n, m, lam, tau, sign) for sign in (1, -1))
+    rng = random.Random(10 * n + m)
+    spec = KzSpec(n, lam, m, tau=tau)
+    errors = {"right": [], "wrong": []}
+    for _ in range(3):
+        w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(5)))
+        kz_matrix = monodromy(spec, w, tol=1e-11).matrix
+        for name, gens in (("right", right), ("wrong", wrong)):
+            braiding = np.eye(len(kz_matrix), dtype=complex)
+            for i, sign in w.letters:  # first letter acts first
+                braiding = (gens[i - 1] if sign > 0 else np.linalg.inv(gens[i - 1])) @ braiding
+            for p in range(1, len(braiding) + 1):
+                expected = np.trace(np.linalg.matrix_power(braiding, p))
+                got = np.trace(np.linalg.matrix_power(kz_matrix, p))
+                errors[name].append(abs(got - expected) / max(1.0, abs(expected)))
+    assert max(errors["right"]) < 1e-8
+    assert max(errors["wrong"]) > 1e-3  # q and q^-1 give different braidings
 
 
 @pytest.mark.parametrize("lam", [1 + 0j, 3 + 0j])

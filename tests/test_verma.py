@@ -2,6 +2,7 @@
 combinatorics, and the Lie-algebra lemmas behind KZ flatness."""
 
 import random
+import warnings
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -301,6 +302,23 @@ def test_kernel_basis_exact_is_exact():
             for lam in range(m):
                 mat = tensor_generator_matrix("E", n, Fraction(lam), m)
                 _assert_reduced_echelon_kernel(mat, weight_dim(n, m))
+
+
+def test_degenerate_nullspace_equals_the_dense_echelon_kernel():
+    # at lam in 0..m-1 the rows of E are read off the images of unit vectors;
+    # the dense E of tensor_generator_matrix gives the reference kernel
+    drops = 0
+    for n in range(2, 6):
+        for m in range(1, 5):
+            for lam in map(Fraction, range(m)):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    kernel = nullspace_basis(n, lam, m)
+                assert kernel == kernel_basis_exact(tensor_generator_matrix("E", n, lam, m), weight_dim(n, m))
+                dropped = len(kernel) != generic_null_dim(n, m)
+                assert [w.category for w in caught] == [DegenerateWeightWarning] * dropped
+                drops += dropped
+    assert drops > 0
 
 
 def test_weight_basis_order_matches_product_filter():
