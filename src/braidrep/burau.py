@@ -6,8 +6,8 @@ and the reduced V_i are the (n-1)x(n-1) companions related to U_i by
 conjugation with the upper-triangular all-ones matrix C.  Each generator
 and its inverse differ from the identity only in one column (V_i) or two
 columns (U_i), and the inverses are written in closed form.  Words map to
-products of generator matrices in word order, applied letter by letter as
-column actions that rewrite only those columns.
+products of generator matrices in word order, multiplied out on sparse
+columns by laurent's column product, which rewrites only those columns.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly, RingMatrix
+from .laurent import LaurentPoly, RingMatrix, _column_product, _coordinates
 from .words import BraidWord
 
 T = LaurentPoly.var("t")
@@ -53,19 +53,13 @@ def _columns(n: int, i: int, sign: int, reduced: bool) -> tuple:
 
 
 def _word_image(w: BraidWord, reduced: bool) -> BurauImage:
-    """Right-multiply the identity by each letter's generator, rewriting
-    only the columns that generator changes, from the old row values."""
+    """The product of the letters' generators, each given by the columns
+    `_columns` lists, as one dense matrix."""
     if w.n < 2:
         raise ValueError(f"{'reduced ' * reduced}Burau representation needs n >= 2")
     k = w.n - 1 if reduced else w.n
-    acc = [[_ONE if r == c else _ZERO for c in range(k)] for r in range(k)]
-    for i, s in w.letters:
-        columns = _columns(w.n, i, s, reduced)
-        for row in acc:
-            new = [sum((row[r] * e for r, e in col if row[r].terms), _ZERO) for _, col in columns]
-            for (c, _), v in zip(columns, new):
-                row[c] = v
-    return BurauImage(w.n, reduced, RingMatrix(k, k, tuple(tuple(row) for row in acc)))
+    cols = _column_product(k, _ONE, (_columns(w.n, i, s, reduced) for i, s in w.letters))
+    return BurauImage(w.n, reduced, RingMatrix(k, k, tuple(zip(*_coordinates(cols, range(k), _ZERO)))))
 
 
 def burau(w: BraidWord) -> BurauImage:

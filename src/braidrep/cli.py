@@ -36,21 +36,18 @@ def complex_pairs(matrix) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
-def _emit(payload: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload))
-
-
 def _word(args) -> words.BraidWord:
     return words.BraidWord.parse(args.word, args.n)
 
 
 # Strand limits, each set at a case measured as a child process on 2 CPUs
 # (wall time, peak RSS; README, "Input limits").
-MAX_BRAID_N = 300_000  # braid: n = 300000 took 1.5 s, 123 MB
-MAX_BURAU_N = 2000  # burau (n^2 exact entries and their JSON): n = 2000 took 3.4-3.7 s, 93 MB
+MAX_BRAID_N = 300_000  # braid: n = 300000 took 0.5-0.8 s, 75 MB (s1, and a 20-letter word)
+MAX_BURAU_N = 2000  # burau (n^2 exact entries and their JSON): n = 2000 took 2.2-4.3 s, 100 MB
+# alexander: the determinant does about (n-1)^3 updates of minors with up to
+# L+1 terms for L letters; (n-1)^3 (L+1)^2 = 4e7 took at most 3.4 s, 18 MB
+# (positive words, n = 2..100), e.g. n = 3 with 2235 letters
+MAX_ALEXANDER_WORK = 4 * 10**7
 
 
 def _check_strands(n: int, limit: int) -> None:
@@ -62,12 +59,13 @@ def cmd_braid(args) -> dict:
     _check_strands(args.n, MAX_BRAID_N)
     w = _word(args)
     perm = words.underlying_permutation(w)
+    cycles = perm.cycles()
     return {
         "permutation": list(perm.images),
-        "cycles": perm.cycles(),
+        "cycles": cycles,
         "pure": perm.is_identity(),
         "exponent_sum": words.exponent_sum(w),
-        "components": words.closure_component_count(w),
+        "components": len(cycles),
     }
 
 
@@ -79,6 +77,11 @@ def cmd_burau(args) -> dict:
 
 
 def cmd_alexander(args) -> dict:
+    letters = len(args.word.split())
+    if (args.n - 1) ** 3 * (letters + 1) ** 2 > MAX_ALEXANDER_WORK:
+        raise ValueError(
+            f"{letters} letters on {args.n} strands are over the limit (n-1)^3 (letters+1)^2 <= {MAX_ALEXANDER_WORK}"
+        )
     result = alexander.alexander_conway(_word(args))
     return {"conway": str(result.poly), "components": result.components}
 
@@ -121,7 +124,8 @@ def _check_level(m: int) -> None:
 # measured on 2 CPUs (child wall time and peak RSS; README, "Input limits").
 MAX_WEIGHT_DIM = 4000  # verma dims: d = 3876 took 1.5-2.1 s, 27 MB
 # verma omega (d^2 exact entries and their JSON): d = 1365 took 3.4 s, 171 MB;
-# verma dims at lam in 0..m-1 (echelon form): n=5, m=11, lam=5 took 2.0-2.1 s, 27 MB
+# verma dims at lam in 0..m-1 (sparse echelon form, no dense matrix): d = 1365
+# took 1.4-2.1 s, 27 MB, and d = 3654-3876 took 8-19 s (n=4, m=26; n=5, m=15)
 MAX_DENSE_DIM = 1400
 MAX_KZ_DIM = 500  # kz, O(d^3) per DP5 step: one letter at d = 462 took 5.3 s
 MAX_KZ_ENTRIES = 4_000_000  # kz Omega stack, P d^2 entries: 3.2e6 took 154 MB
@@ -148,8 +152,7 @@ def _check_size(n: int, m: int, max_dim: int, pairs: int = 0) -> None:
 def cmd_verma_dims(args) -> dict:
     _check_level(args.m)
     lam = parse_weight(args.lam)
-    eliminates = isinstance(lam, Fraction) and lam.denominator == 1 and 0 <= lam < args.m
-    _check_size(args.n, args.m, MAX_DENSE_DIM if eliminates else MAX_WEIGHT_DIM)
+    _check_size(args.n, args.m, MAX_DENSE_DIM if verma._eliminates(lam, args.m) else MAX_WEIGHT_DIM)
     null = verma._null_vectors(args.n, verma._rational_weight(lam), args.m)
     return {"weight_dim": verma.weight_dim(args.n, args.m), "null_dim": len(null)}
 
@@ -424,7 +427,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # computation errors -> JSON + exit 1, named if the message is empty
         print(json.dumps({"error": str(exc) or type(exc).__name__}))
         return 1
-    _emit(payload, args.pretty)
+    print(json.dumps(payload, indent=2 if args.pretty else None))
     if args.command == "selftest" and not payload["all_passed"]:
         return 1
     return 0

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
+from .laurent import _coordinates
 from .verma import (
-    _coordinates,
     _null_vectors,
     as_scalar,
     is_generic,
@@ -377,17 +377,18 @@ def flatness_residual(spec: KzSpec, point, tangent_u, tangent_v) -> float:
     relations in force this vanishes to rounding error.
     """
     a_u, a_v = (connection_value(spec, point, t) for t in (tangent_u, tangent_v))
-    num = float(np.max(np.abs(curvature_form(spec, point, tangent_u, tangent_v))))
+    num = float(np.max(np.abs(_commutator(a_u, a_v))))
     den = float(np.max(np.abs(a_u)) * np.max(np.abs(a_v)))
     return num / den if den > 0 else num
 
 
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
 def curvature_form(spec: KzSpec, point, tangent_u, tangent_v) -> np.ndarray:
     """Raw curvature evaluation [A(u), A(v)] (bilinear in the tangents)."""
-    system = _system(spec)
-    a_u = system.connection(point, tangent_u)
-    a_v = system.connection(point, tangent_v)
-    return a_u @ a_v - a_v @ a_u
+    return _commutator(*(connection_value(spec, point, t) for t in (tangent_u, tangent_v)))
 
 
 def homotopy_invariance_check(spec: KzSpec, tol: float = 1e-10) -> float:

@@ -14,6 +14,8 @@ round-trips through :func:`LaurentPoly.parse`.
 
 ``RingMatrix`` computes determinants, adjugates and inverses with one
 fraction-free elimination on sparse rows, whose divisions are all exact.
+Burau letters and r-matrix leg placements are multiplied out on sparse
+columns by ``_column_product``; ``_coordinates`` is the one densify.
 """
 
 from __future__ import annotations
@@ -101,6 +103,9 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_one(self) -> bool:
         return len(self.terms) == 1 and self.terms.get(0) == 1
@@ -326,6 +331,36 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._make(variable, out)
 
 
+def _column_product(size: int, one, factors) -> list:
+    """The size x size identity right-multiplied by each factor in turn, as
+    sparse columns ``{row: entry}``.  A factor lists ``(c, ((k, x), ...))``
+    for the columns it changes: column c becomes the sum of x times the old
+    column k.  Zeros drop by truth value, for LaurentPoly and complex alike."""
+    zero = one - one
+    cols = [{c: one} for c in range(size)]
+    for factor in factors:
+        new = []
+        for c, terms in factor:
+            acc = {}
+            for k, x in terms:
+                for row, v in cols[k].items():
+                    acc[row] = acc.get(row, zero) + x * v
+            new.append((c, {row: v for row, v in acc.items() if v}))
+        for c, col in new:
+            cols[c] = col
+    return cols
+
+
+def _coordinates(vectors, keys, zero) -> list:
+    """Sparse vectors {key: c} as coordinate tuples in the order of ``keys``."""
+    position = {k: i for i, k in enumerate(keys)}
+    coords = [[zero] * len(position) for _ in vectors]
+    for row, vector in zip(coords, vectors):
+        for k, c in vector.items():
+            row[position[k]] = c
+    return [tuple(row) for row in coords]
+
+
 @dataclass(frozen=True)
 class RingMatrix:
     """Dense matrix over LaurentPoly with exact arithmetic."""
@@ -464,8 +499,7 @@ class RingMatrix:
             prev = p
         if not augment:
             return sign, prev, None
-        zero = LaurentPoly.constant(0)
-        right = tuple(tuple(row.get(j, zero) for j in range(n, 2 * n)) for row in rows)
+        right = tuple(_coordinates(rows, range(n, 2 * n), LaurentPoly.constant(0)))
         return sign, prev, RingMatrix(n, n, right)
 
     def det(self) -> LaurentPoly:

@@ -27,6 +27,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from .laurent import _coordinates
+
 GENERATORS = ("H", "E", "F")
 
 # Omega = sum of kappa^-1_ab x_a (x) x_b over the basis (H, E, F), with
@@ -131,12 +133,8 @@ def _dense_block(action, dom: WeightBasis, cod: WeightBasis) -> list:
     """Matrix (list of rows) of a sparse action from dom to cod: column J is
     the image of the unit vector at J, and absent entries are lam's zero."""
     zero = dom.lam - dom.lam
-    one = zero + 1
-    mat = [[zero] * len(dom) for _ in range(len(cod))]
-    for col, idx in enumerate(dom.indices):
-        for tgt, c in action({idx: one}).items():
-            mat[cod.position(tgt)][col] = c
-    return mat
+    columns = _coordinates([action({idx: zero + 1}) for idx in dom.indices], cod.indices, zero)
+    return [list(row) for row in zip(*columns)] if columns else [[] for _ in cod.indices]
 
 
 def tensor_generator_matrix(generator: str, n: int, lam, m: int):
@@ -258,6 +256,11 @@ def is_generic(lam, m: int) -> bool:
     return all(abs(lam - k) > 1e-9 for k in range(2 * m + 1))
 
 
+def _eliminates(lam, m: int) -> bool:
+    """The weights where the nullspace rank can drop, and `_null_vectors` eliminates."""
+    return isinstance(lam, Fraction) and lam.denominator == 1 and 0 <= lam < m
+
+
 def _null_vectors(n: int, lam, m: int) -> list:
     """Basis of N[n lam - 2m] = ker E inside W[n lam - 2m], as sparse
     vectors {multi-index: c}, for Fraction and complex lam alike.
@@ -270,7 +273,7 @@ def _null_vectors(n: int, lam, m: int) -> list:
     E v at j_1 = k fixes the layer j_1 = k+1 of v from layer k."""
     basis = weight_space_basis(n, lam, m)
     one = lam - lam + 1
-    if isinstance(lam, Fraction) and lam.denominator == 1 and 0 <= lam < m:
+    if _eliminates(lam, m):
         rows: dict = {}
         for idx in basis.indices:
             for tgt, c in tensor_act("E", {idx: one}, n, lam, m).items():
@@ -294,16 +297,6 @@ def _null_vectors(n: int, lam, m: int) -> list:
             vector.update({(k + 1,) + rest: c for rest, c in layer.items()})
         out.append(vector)
     return out
-
-
-def _coordinates(vectors, keys, zero) -> list:
-    """Sparse vectors {key: c} as coordinate tuples in the order of ``keys``."""
-    position = {k: i for i, k in enumerate(keys)}
-    coords = [[zero] * len(position) for _ in vectors]
-    for row, vector in zip(coords, vectors):
-        for k, c in vector.items():
-            row[position[k]] = c
-    return [tuple(row) for row in coords]
 
 
 def _rational_weight(lam) -> Fraction:

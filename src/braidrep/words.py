@@ -59,19 +59,16 @@ class Permutation:
 
     def cycles(self) -> list:
         """Cycle decomposition, each cycle starting at its smallest element."""
-        seen = set()
-        out = []
+        seen, out = set(), []
         for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = self(start)
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self(x)
-            out.append(cyc)
+            if start not in seen:
+                cyc = [start]
+                x = self.images[start - 1]
+                while x != start:
+                    cyc.append(x)
+                    x = self.images[x - 1]
+                seen.update(cyc)
+                out.append(cyc)
         return out
 
 
@@ -152,11 +149,12 @@ def free_reduce(w: BraidWord) -> BraidWord:
 
 
 def underlying_permutation(w: BraidWord) -> Permutation:
-    """Image of the word under sigma_i -> (i, i+1), letters applied left to right."""
-    perm = Permutation.identity(w.n)
-    for i, _ in w.letters:
-        perm = perm.then(Permutation.transposition(w.n, i))
-    return perm
+    """Image of the word under sigma_i -> (i, i+1), letters applied left to
+    right; built from the last letter back, as (i, i+1) then p swaps two images."""
+    images = list(range(1, w.n + 1))
+    for i, _ in reversed(w.letters):
+        images[i - 1], images[i] = images[i], images[i - 1]
+    return Permutation(tuple(images))
 
 
 def is_pure(w: BraidWord) -> bool:

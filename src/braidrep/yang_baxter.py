@@ -7,9 +7,9 @@ significant.  Exact matrices (rational or Laurent in q) are checked to
 literal zero; complex matrices to a max-entry threshold of 1e-10.
 
 Every operator here is a product of R-placements on leg pairs of V^(x)n,
-evaluated by one routine as sparse two-leg column actions on exact and
-complex entries alike; a word computes R^-1 once, and only if it has an
-inverse letter.
+each handed to laurent's sparse column product (shared with Burau words)
+as the columns it changes, on exact and complex entries alike; a word
+computes R^-1 once, and only if it has an inverse letter.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .laurent import LaurentPoly, RingMatrix
+from .laurent import LaurentPoly, RingMatrix, _column_product, _coordinates
 from .words import BraidWord
 
 NUMERIC_TOLERANCE = 1e-10
@@ -111,14 +111,16 @@ def identity_r(d: int = 2) -> RMatrixSpec:
     return RMatrixSpec(d, "rational", RingMatrix.identity(d * d))
 
 
+def _flipped(m, d: int):
+    """tau m for a RingMatrix or ndarray m: row j*d + i is row i*d + j of m."""
+    rows = [r % d * d + r // d for r in range(d * d)]
+    if isinstance(m, np.ndarray):
+        return m[rows]
+    return RingMatrix(d * d, d * d, tuple(m.entries[r] for r in rows))
+
+
 def flip_matrix(d: int) -> RingMatrix:
-    one, zero = LaurentPoly.constant(1), LaurentPoly.constant(0)
-    size = d * d
-    grid = [[zero] * size for _ in range(size)]
-    for i in range(d):
-        for j in range(d):
-            grid[j * d + i][i * d + j] = one
-    return RingMatrix(size, size, tuple(tuple(r) for r in grid))
+    return _flipped(RingMatrix.identity(d * d), d)
 
 
 def flip_r(d: int = 2) -> RMatrixSpec:
@@ -148,22 +150,16 @@ def rq_r() -> RMatrixSpec:
 
 def compose_flip(spec: RMatrixSpec) -> RMatrixSpec:
     """tau composed after R (apply R, then swap the factors)."""
-    if spec.exact:
-        return RMatrixSpec(spec.dim, spec.ring, flip_matrix(spec.dim) @ spec.matrix)
-    flip = np.asarray(
-        [[float(c.constant_value()) for c in row] for row in flip_matrix(spec.dim).entries],
-        dtype=complex,
-    )
-    return RMatrixSpec(spec.dim, "complex", flip @ spec.matrix)
+    return RMatrixSpec(spec.dim, spec.ring, _flipped(spec.matrix, spec.dim))
 
 
 # -- products of leg placements ----------------------------------------------
 
 def _columns(matrix, exact: bool) -> tuple:
     """The nonzero ``(row, entry)`` pairs of each column of a d^2 x d^2
-    matrix, as the table `_leg_product` applies."""
-    grid, is_zero = (matrix.entries, LaurentPoly.is_zero) if exact else (matrix.tolist(), (0j).__eq__)
-    return tuple(tuple((r, e) for r, e in enumerate(col) if not is_zero(e)) for col in zip(*grid))
+    matrix, as the table `_leg_product` places."""
+    grid = matrix.entries if exact else matrix.tolist()
+    return tuple(tuple((r, e) for r, e in enumerate(col) if e) for col in zip(*grid))
 
 
 def _leg_product(spec: RMatrixSpec, n: int, factors):
@@ -171,44 +167,33 @@ def _leg_product(spec: RMatrixSpec, n: int, factors):
     from `_columns` on legs (i, j) of V^(x)n (1-based) and as the identity
     elsewhere, for ``(table, i, j)`` in ``factors``.
 
-    The product is held, and returned, as sparse columns ``{row: entry}``.
-    Right multiplication by a factor replaces column c, whose legs (i, j)
-    read (a, b), with the sum over ``(k, x)`` in ``table[a*d + b]`` of x
-    times the column with legs (i, j) set to (k // d, k % d).  The loop
-    runs on LaurentPoly and complex entries alike."""
+    The product is returned as sparse columns ``{row: entry}``.  A placed
+    table replaces column c, whose legs (i, j) read (a, b), with the sum
+    over ``(k, x)`` in ``table[a*d + b]`` of x times the column with legs
+    (i, j) set to (k // d, k % d)."""
     d = spec.dim
     size = d ** n
     if size > SIZE_CAP:
         raise ValueError(f"tensor power dimension {size} exceeds cap {SIZE_CAP}")
-    zero, one = (LaurentPoly.constant(0), LaurentPoly.constant(1)) if spec.exact else (0j, 1 + 0j)
-    cols = [{c: one} for c in range(size)]
-    for table, i, j in factors:
+
+    def placed(table, i, j):
         si, sj = d ** (n - i), d ** (n - j)
         moves = [tuple((k // d * si + k % d * sj, x) for k, x in col) for col in table]
-        new = []
         for c in range(size):
             a, b = c // si % d, c // sj % d
             base = c - a * si - b * sj
-            acc = {}
-            for shift, x in moves[a * d + b]:
-                for row, v in cols[base + shift].items():
-                    acc[row] = acc.get(row, zero) + x * v
-            new.append({row: v for row, v in acc.items() if v != zero})
-        cols = new
-    return cols
+            yield c, [(base + shift, x) for shift, x in moves[a * d + b]]
+
+    one = LaurentPoly.constant(1) if spec.exact else 1 + 0j
+    return _column_product(size, one, (placed(*f) for f in factors))
 
 
 def _dense(spec: RMatrixSpec, cols):
     """`_leg_product` columns as a RingMatrix, or a complex ndarray."""
-    size = len(cols)
-    zero = LaurentPoly.constant(0) if spec.exact else 0j
-    grid = [[zero] * size for _ in range(size)]
-    for c, col in enumerate(cols):
-        for row, v in col.items():
-            grid[row][c] = v
+    coords = _coordinates(cols, range(len(cols)), LaurentPoly.constant(0) if spec.exact else 0j)
     if spec.exact:
-        return RingMatrix(size, size, tuple(map(tuple, grid)))
-    return np.asarray(grid, dtype=complex)
+        return RingMatrix(len(cols), len(cols), tuple(zip(*coords)))
+    return np.array(coords, dtype=complex).T.copy()
 
 
 def place_on_legs(spec: RMatrixSpec, n: int, i: int, j: int):

@@ -1,6 +1,7 @@
 """CLI contract: documented invocations, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -415,6 +416,23 @@ def test_strand_limits_reject_before_building(capsys, monkeypatch, argv, limit):
     assert (code, json.loads(out)) == (1, {"error": "built a braid word"})
     code, out = run_cli(capsys, argv[0], "--n", str(n + 1), *argv[1:])
     assert (code, json.loads(out)) == (1, {"error": f"strand count {n + 1} is over the limit {n}"})
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 21, 342])
+def test_alexander_word_limit_rejects_before_building(capsys, monkeypatch, n):
+    from braidrep import alexander, cli, words
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a braid word")
+
+    monkeypatch.setattr(words.BraidWord, "parse", staticmethod(refuse))
+    monkeypatch.setattr(alexander, "alexander_conway", refuse)
+    letters = math.isqrt(cli.MAX_ALEXANDER_WORK // (n - 1) ** 3) - 1
+    code, out = run_cli(capsys, "alexander", "--n", str(n), " ".join(["s1"] * letters))
+    assert (code, json.loads(out)) == (1, {"error": "built a braid word"})
+    code, out = run_cli(capsys, "alexander", "--n", str(n), " ".join(["s1"] * (letters + 1)))
+    assert code == 1
+    assert json.loads(out)["error"].startswith(f"{letters + 1} letters on {n} strands are over the limit")
 
 
 def test_ybe_rejects_dimension_over_size_cap(tmp_path, capsys, monkeypatch):

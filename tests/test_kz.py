@@ -211,6 +211,19 @@ def test_flatness_residual_small():
             assert flatness_residual(spec, z, u, v) < 1e-10
 
 
+def test_flatness_residual_evaluates_each_connection_value_once(monkeypatch):
+    calls = []
+    connection = KzSystem.connection
+    monkeypatch.setattr(KzSystem, "connection", lambda self, z, v: calls.append(1) or connection(self, z, v))
+    spec = KzSpec(3, Fraction(1, 2), 2, h=0.2)
+    z = _random_config(np.random.default_rng(4), 3)
+    residual = flatness_residual(spec, z, [1, 0, -1j], [0.5, 2j, 0])
+    assert len(calls) == 2
+    a_u, a_v = (connection(kz._system(spec), z, t) for t in ([1, 0, -1j], [0.5, 2j, 0]))
+    commutator = np.max(np.abs(a_u @ a_v - a_v @ a_u))
+    assert residual == commutator / (np.max(np.abs(a_u)) * np.max(np.abs(a_v)))
+
+
 def test_curvature_form_bilinearity():
     rng = np.random.default_rng(3)
     spec = KzSpec(3, Fraction(1, 2), 1, h=0.2)

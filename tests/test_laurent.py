@@ -26,6 +26,16 @@ def test_unit_pair_and_simple_sums():
     assert (S - S.unit_inverse()) * (S + S.unit_inverse()) == S ** 2 - S.unit_inverse() ** 2
 
 
+def test_truth_value_is_nonzero():
+    assert not LaurentPoly.constant(0)
+    assert not LaurentPoly()
+    assert not T - T
+    assert not LaurentPoly.parse("0", "t")
+    for p in (LaurentPoly.constant(1), LaurentPoly.constant(Fraction(-2, 3)), T, S.unit_inverse(),
+              LaurentPoly.monomial(5, "q", -2), LaurentPoly("q", {0: 7}), 1 - T, T - T + 1):
+        assert p
+
+
 @pytest.mark.parametrize("seed", [1])
 def test_ring_axioms_on_random_triples(seed):
     rng = random.Random(20240 + seed)

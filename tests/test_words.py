@@ -71,6 +71,28 @@ def test_permutation_homomorphism():
         )
 
 
+def test_permutation_matches_composed_transpositions():
+    rng = random.Random(19)
+    assert underlying_permutation(BraidWord(1)) == Permutation.identity(1)
+    for _ in range(200):
+        w = random_word(rng, rng.randint(2, 9), 30)
+        expected = Permutation.identity(w.n)
+        for i, _ in w.letters:
+            expected = expected.then(Permutation.transposition(w.n, i))
+        assert underlying_permutation(w) == expected
+
+
+def test_permutation_constructions_do_not_grow_with_word_length(monkeypatch):
+    built = []
+    check = Permutation.__post_init__
+    monkeypatch.setattr(Permutation, "__post_init__", lambda self: built.append(1) or check(self))
+    rng = random.Random(5)
+    for length in (1, 10, 200):
+        built.clear()
+        underlying_permutation(BraidWord(40, tuple((rng.randint(1, 39), 1) for _ in range(length))))
+        assert len(built) == 1
+
+
 def test_permutation_examples():
     assert underlying_permutation(BraidWord.parse("s1", 2)).images == (2, 1)
     assert underlying_permutation(BraidWord(3)).is_identity()
