@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly, RingMatrix, _column_product, _coordinates
+from .laurent import LaurentPoly, RingMatrix, _column_product
 from .words import BraidWord
 
 T = LaurentPoly.var("t")
 _ONE = LaurentPoly.constant(1)
-_ZERO = LaurentPoly.constant(0)
 _TINV = T.unit_inverse()
 
 
@@ -54,12 +53,12 @@ def _columns(n: int, i: int, sign: int, reduced: bool) -> tuple:
 
 def _word_image(w: BraidWord, reduced: bool) -> BurauImage:
     """The product of the letters' generators, each given by the columns
-    `_columns` lists, as one dense matrix."""
+    `_columns` lists, turned from sparse columns into sparse rows."""
     if w.n < 2:
         raise ValueError(f"{'reduced ' * reduced}Burau representation needs n >= 2")
     k = w.n - 1 if reduced else w.n
     cols = _column_product(k, _ONE, (_columns(w.n, i, s, reduced) for i, s in w.letters))
-    return BurauImage(w.n, reduced, RingMatrix(k, k, tuple(zip(*_coordinates(cols, range(k), _ZERO)))))
+    return BurauImage(w.n, reduced, RingMatrix._from_columns(k, cols))
 
 
 def burau(w: BraidWord) -> BurauImage:
@@ -84,9 +83,7 @@ def reduced_generator(n: int, i: int, sign: int = 1) -> RingMatrix:
 
 
 def ones_upper_triangular(n: int) -> RingMatrix:
-    return RingMatrix(
-        n, n, tuple(tuple(_ONE if c >= r else _ZERO for c in range(n)) for r in range(n))
-    )
+    return RingMatrix._sparse(n, n, [{c: _ONE for c in range(r, n)} for r in range(n)])
 
 
 def conjugation_check(n: int, i: int) -> bool:
@@ -99,10 +96,6 @@ def conjugation_check(n: int, i: int) -> bool:
     u = unreduced_generator(n, i, 1)
     c = ones_upper_triangular(n)
     v = reduced_generator(n, i, 1)
-    grid = [list(row) + [_ZERO] for row in v.entries]
-    last = [_ZERO] * (n - 1) + [_ONE]
-    if i == n - 1:
-        last[n - 2] = _ONE
-    grid.append(last)
-    w = RingMatrix(n, n, tuple(tuple(row) for row in grid))
+    last = {n - 2: _ONE, n - 1: _ONE} if i == n - 1 else {n - 1: _ONE}
+    w = RingMatrix._sparse(n, n, v._sparse_rows + (last,))
     return (u @ c) == (c @ w)

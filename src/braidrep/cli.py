@@ -43,10 +43,10 @@ def _word(args) -> words.BraidWord:
 # Strand limits, each set at a case measured as a child process on 2 CPUs
 # (wall time, peak RSS; README, "Input limits").
 MAX_BRAID_N = 300_000  # braid: n = 300000 took 0.5-0.8 s, 75 MB (s1, and a 20-letter word)
-MAX_BURAU_N = 2000  # burau (n^2 exact entries and their JSON): n = 2000 took 2.2-4.3 s, 100 MB
+MAX_BURAU_N = 2000  # burau (n^2 JSON entries, nearly all "0"): n = 2000 took 0.4-0.8 s, 89-90 MB
 # alexander: the determinant does about (n-1)^3 updates of minors with up to
-# L+1 terms for L letters; (n-1)^3 (L+1)^2 = 4e7 took at most 3.4 s, 18 MB
-# (positive words, n = 2..100), e.g. n = 3 with 2235 letters
+# L+1 terms for L letters; at (n-1)^3 (L+1)^2 = 4e7 positive seeded words took
+# at most 2.2 s, 18 MB (n = 3, 4, 8), and n = 342 with no letters 0.1-0.15 s
 MAX_ALEXANDER_WORK = 4 * 10**7
 
 
@@ -129,6 +129,10 @@ MAX_WEIGHT_DIM = 4000  # verma dims: d = 3876 took 1.5-2.1 s, 27 MB
 MAX_DENSE_DIM = 1400
 MAX_KZ_DIM = 500  # kz, O(d^3) per DP5 step: one letter at d = 462 took 5.3 s
 MAX_KZ_ENTRIES = 4_000_000  # kz Omega stack, P d^2 entries: 3.2e6 took 154 MB
+# kz check redraws all n sample points until every pair is 0.3 apart, about
+# exp(0.0079 C(n, 2)) draws: n = 42 took 1.5-2.2 s at m = 0 (seeds 0-2) and
+# 2.5 s at m = 1, 31-56 MB; n = 44 took up to 4.7 s and n = 46 up to 9.9 s
+MAX_KZ_CHECK_N = 42
 
 
 def _check_size(n: int, m: int, max_dim: int, pairs: int = 0) -> None:
@@ -197,6 +201,7 @@ def cmd_kz_check(args) -> dict:
 
     from . import kz
 
+    _check_strands(args.n, MAX_KZ_CHECK_N)
     spec = _kz_spec(args, False)
     if args.n >= 3:
         left = kz.monodromy(spec, words.BraidWord.parse("s1 s2 s1", args.n), args.tol)

@@ -1,4 +1,4 @@
-"""Exact one-variable Laurent polynomials and dense matrices over them.
+"""Exact one-variable Laurent polynomials and sparse matrices over them.
 
 Every ring in this package is Z[v, v^-1] (or Q[v, v^-1]) in one named
 variable: t for Burau, s for Alexander-Conway, q for r-matrices.  A
@@ -12,17 +12,16 @@ The canonical printed form lists terms in increasing exponent, e.g.
 ``s^-2 - 1 + s^2``; this string format is part of the CLI contract and
 round-trips through :func:`LaurentPoly.parse`.
 
-``RingMatrix`` computes determinants, adjugates and inverses with one
-fraction-free elimination on sparse rows, whose divisions are all exact.
-Burau letters and r-matrix leg placements are multiplied out on sparse
-columns by ``_column_product``; ``_coordinates`` is the one densify.
+``RingMatrix`` stores sparse rows and computes determinants, adjugates and
+inverses with one fraction-free elimination on them, whose divisions are
+all exact.  Burau letters and r-matrix leg placements are multiplied out on
+sparse columns by ``_column_product``, which ``RingMatrix`` turns into rows.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -361,41 +360,73 @@ def _coordinates(vectors, keys, zero) -> list:
     return [tuple(row) for row in coords]
 
 
-@dataclass(frozen=True)
 class RingMatrix:
-    """Dense matrix over LaurentPoly with exact arithmetic."""
+    """Immutable matrix over LaurentPoly with exact arithmetic, stored as
+    sparse rows ``{col: entry}`` that hold no zero entry; ``entries`` is
+    the dense grid, built on request."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "_sparse_rows")
 
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+    def __init__(self, rows: int, cols: int, entries):
+        if rows > 0 and cols > 0 and (len(entries) != rows or any(len(r) != cols for r in entries)):
             raise ValueError("entry grid does not match dimensions")
+        self._set(rows, cols, [{j: e for j, e in enumerate(row) if e} for row in entries])
+
+    @classmethod
+    def _sparse(cls, rows: int, cols: int, sparse_rows) -> "RingMatrix":
+        """Wrap sparse rows that hold no zero entry; stored rows are shared, never mutated."""
+        return object.__new__(cls)._set(rows, cols, sparse_rows)
+
+    @classmethod
+    def _from_columns(cls, rows: int, columns) -> "RingMatrix":
+        """Sparse columns ``{row: entry}`` with no zero entry, as a matrix."""
+        sparse_rows = [{} for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, e in col.items():
+                sparse_rows[i][j] = e
+        return cls._sparse(rows, len(columns), sparse_rows)
+
+    def _set(self, rows, cols, sparse_rows):
+        if rows <= 0 or cols <= 0:
+            raise ValueError("matrix dimensions must be positive")
+        for name, value in zip(self.__slots__, (rows, cols, tuple(sparse_rows))):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, *a):
+        raise AttributeError("RingMatrix is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, RingMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._sparse_rows) == (other.rows, other.cols, other._sparse_rows)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._sparse_rows)))
+
+    @property
+    def entries(self) -> tuple:
+        """The dense grid of entries, zeros included."""
+        zero = LaurentPoly.constant(0)
+        return tuple(tuple(row.get(j, zero) for j in range(self.cols)) for row in self._sparse_rows)
 
     @staticmethod
     def from_rows(rows) -> "RingMatrix":
-        grid = tuple(
-            tuple(x if isinstance(x, LaurentPoly) else LaurentPoly.constant(x) for x in row)
-            for row in rows
-        )
+        grid = [[x if isinstance(x, LaurentPoly) else LaurentPoly.constant(x) for x in row] for row in rows]
         return RingMatrix(len(grid), len(grid[0]), grid)
 
     @staticmethod
     def identity(k: int) -> "RingMatrix":
-        one, zero = LaurentPoly.constant(1), LaurentPoly.constant(0)
-        return RingMatrix(k, k, tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k)))
+        one = LaurentPoly.constant(1)
+        return RingMatrix._sparse(k, k, [{i: one} for i in range(k)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RingMatrix":
-        z = LaurentPoly.constant(0)
-        return RingMatrix(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return RingMatrix._sparse(rows, cols, [{} for _ in range(rows)])
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.entries[i][j]
+        return self._sparse_rows[i].get(range(self.cols)[j], LaurentPoly.constant(0))
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.cols != other.rows:
@@ -418,31 +449,25 @@ class RingMatrix:
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in addition")
-        return RingMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
-        )
+        zero = LaurentPoly.constant(0)
+        out = [
+            {j: v for j in a.keys() | b.keys() if (v := a.get(j, zero) + b.get(j, zero))}
+            for a, b in zip(self._sparse_rows, other._sparse_rows)
+        ]
+        return RingMatrix._sparse(self.rows, self.cols, out)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
         return self + other.scale(-1)
 
     def scale(self, c) -> "RingMatrix":
-        grid = tuple(tuple(e * c if e.terms else e for e in row) for row in self.entries)
-        return RingMatrix(self.rows, self.cols, grid)
+        out = [{j: v for j, e in row.items() if (v := e * c)} for row in self._sparse_rows]
+        return RingMatrix._sparse(self.rows, self.cols, out)
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return RingMatrix._from_columns(self.cols, self._sparse_rows)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            (self.entries[i][j].is_one() if i == j else self.entries[i][j].is_zero())
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return self.rows == self.cols and self == RingMatrix.identity(self.rows)
 
     # -- elimination -------------------------------------------------------
 
@@ -464,7 +489,7 @@ class RingMatrix:
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant, adjugate or inverse of a non-square matrix")
-        rows = [{j: e for j, e in enumerate(row) if e.terms} for row in self.entries]
+        rows = [dict(row) for row in self._sparse_rows]
         if augment:
             one = LaurentPoly.constant(1)
             for i, row in enumerate(rows):
@@ -499,8 +524,8 @@ class RingMatrix:
             prev = p
         if not augment:
             return sign, prev, None
-        right = tuple(_coordinates(rows, range(n, 2 * n), LaurentPoly.constant(0)))
-        return sign, prev, RingMatrix(n, n, right)
+        right = [{j - n: v for j, v in row.items()} for row in rows]
+        return sign, prev, RingMatrix._sparse(n, n, right)
 
     def det(self) -> LaurentPoly:
         """Exact determinant by forward fraction-free elimination."""
@@ -525,11 +550,11 @@ class RingMatrix:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(e) for e in row] for row in self.entries],
-        }
+        entries = [["0"] * self.cols for _ in self._sparse_rows]
+        for line, row in zip(entries, self._sparse_rows):
+            for j, e in row.items():
+                line[j] = str(e)
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @staticmethod
     def from_json(data: dict, variable: str | None = None) -> "RingMatrix":

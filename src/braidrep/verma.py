@@ -98,10 +98,10 @@ class WeightBasis:
 
 def _compositions(n: int, m: int):
     """Compositions (j_1, ..., j_n) of m into non-negative parts, in
-    lexicographic order."""
-    if n == 1:
-        return [(m,)]
-    return [(first,) + rest for first in range(m + 1) for rest in _compositions(n - 1, m - first)]
+    lexicographic order: the gaps around n - 1 bars among m + n - 1 slots."""
+    for bars in combinations(range(m + n - 1), n - 1):
+        edges = (-1, *bars, m + n - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def weight_space_basis(n: int, lam, m: int) -> WeightBasis:

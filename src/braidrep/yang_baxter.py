@@ -64,8 +64,8 @@ class RMatrixSpec:
             if not isinstance(m, RingMatrix) or (m.rows, m.cols) != (d2, d2):
                 raise ValueError(f"expected an exact {d2}x{d2} RingMatrix")
             allowed = (None, _RING_VARIABLES[self.ring])
-            for row in m.entries:
-                for p in row:
+            for row in m._sparse_rows:
+                for p in row.values():
                     if p.variable not in allowed:
                         raise ValueError(f"entry {p} is not in the {self.ring!r} ring")
             det = m.det()
@@ -116,7 +116,7 @@ def _flipped(m, d: int):
     rows = [r % d * d + r // d for r in range(d * d)]
     if isinstance(m, np.ndarray):
         return m[rows]
-    return RingMatrix(d * d, d * d, tuple(m.entries[r] for r in rows))
+    return RingMatrix._sparse(d * d, d * d, [m._sparse_rows[r] for r in rows])
 
 
 def flip_matrix(d: int) -> RingMatrix:
@@ -158,8 +158,9 @@ def compose_flip(spec: RMatrixSpec) -> RMatrixSpec:
 def _columns(matrix, exact: bool) -> tuple:
     """The nonzero ``(row, entry)`` pairs of each column of a d^2 x d^2
     matrix, as the table `_leg_product` places."""
-    grid = matrix.entries if exact else matrix.tolist()
-    return tuple(tuple((r, e) for r, e in enumerate(col) if e) for col in zip(*grid))
+    if exact:
+        return tuple(tuple(col.items()) for col in matrix.transpose()._sparse_rows)
+    return tuple(tuple((r, e) for r, e in enumerate(col) if e) for col in zip(*matrix.tolist()))
 
 
 def _leg_product(spec: RMatrixSpec, n: int, factors):
@@ -190,10 +191,9 @@ def _leg_product(spec: RMatrixSpec, n: int, factors):
 
 def _dense(spec: RMatrixSpec, cols):
     """`_leg_product` columns as a RingMatrix, or a complex ndarray."""
-    coords = _coordinates(cols, range(len(cols)), LaurentPoly.constant(0) if spec.exact else 0j)
     if spec.exact:
-        return RingMatrix(len(cols), len(cols), tuple(zip(*coords)))
-    return np.array(coords, dtype=complex).T.copy()
+        return RingMatrix._from_columns(len(cols), cols)
+    return np.array(_coordinates(cols, range(len(cols)), 0j), dtype=complex).T.copy()
 
 
 def place_on_legs(spec: RMatrixSpec, n: int, i: int, j: int):
@@ -276,7 +276,7 @@ def r_matrix_from_json(data: dict) -> RMatrixSpec:
 
 def r_matrix_to_json(spec: RMatrixSpec) -> dict:
     if spec.exact:
-        raw = [[str(e) for e in row] for row in spec.matrix.entries]
+        raw = spec.matrix.to_json()["entries"]
     else:
         raw = [[[z.real, z.imag] for z in row] for row in spec.matrix]
     return {"dim": spec.dim, "ring": spec.ring, "matrix": raw}

@@ -471,3 +471,20 @@ def test_kz_accepts_zero_h(capsys):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["matrix"] == [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+
+
+def test_verma_dims_on_many_legs(capsys):
+    # the weight basis is enumerated without one stack frame per leg
+    code, out = run_cli(capsys, "verma", "dims", "--n", "501", "--m", "1", "--lambda", "1/3")
+    assert (code, json.loads(out)) == (0, {"weight_dim": 501, "null_dim": 500})
+
+
+def test_kz_check_strand_limit_admits_its_boundary(capsys, monkeypatch):
+    from braidrep import cli
+
+    monkeypatch.setattr(cli, "MAX_KZ_CHECK_N", 3)
+    argv = ("kz", "check", "--m", "0", "--lambda", "1/3", "--h", "0.1")
+    code, out = run_cli(capsys, *argv, "--n", "3")
+    assert code == 0 and set(json.loads(out)) == {"braid_residual", "flatness_residual", "homotopy_residual"}
+    code, out = run_cli(capsys, *argv, "--n", "4")
+    assert (code, json.loads(out)) == (1, {"error": "strand count 4 is over the limit 3"})
