@@ -20,10 +20,7 @@ from .words import (
     BraidWord,
     Permutation,
     closure_component_count,
-    compose,
     exponent_sum,
-    free_reduce,
-    inverse,
     is_pure,
     markov_conjugate,
     markov_stabilize,
@@ -60,13 +57,10 @@ __all__ = [
     "burau",
     "casimir_eigenvalue",
     "closure_component_count",
-    "compose",
     "conjugation_check",
     "exact_div",
     "exponent_sum",
-    "free_reduce",
     "generator_path",
-    "inverse",
     "is_pure",
     "markov_conjugate",
     "markov_f",

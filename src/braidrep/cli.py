@@ -127,8 +127,14 @@ MAX_WEIGHT_DIM = 4000  # verma dims: d = 3876 took 1.5-2.1 s, 27 MB
 # verma dims at lam in 0..m-1 (sparse echelon form, no dense matrix): d = 1365
 # took 1.4-2.1 s, 27 MB, and d = 3654-3876 took 8-19 s (n=4, m=26; n=5, m=15)
 MAX_DENSE_DIM = 1400
+# verma and kz, a basis of d tuples of length n: verma dims at n = 2000000,
+# m = 0 took 0.4-0.5 s, 170 MB, and n = 1414, m = 1 took 0.45 s, 47 MB
+MAX_BASIS_ENTRIES = 2_000_000
 MAX_KZ_DIM = 500  # kz, O(d^3) per DP5 step: one letter at d = 462 took 5.3 s
 MAX_KZ_ENTRIES = 4_000_000  # kz Omega stack, P d^2 entries: 3.2e6 took 154 MB
+# kz builds each of the P = C(n, 2) Omega blocks from the basis, P d n tuple
+# entries in all: 9.9e6 (n = 271, m = 0, s1) took 1.8-2.0 s, 37 MB
+MAX_KZ_BUILD = 10**7
 # kz check redraws all n sample points until every pair is 0.3 apart, about
 # exp(0.0079 C(n, 2)) draws: n = 42 took 1.5-2.2 s at m = 0 (seeds 0-2) and
 # 2.5 s at m = 1, 31-56 MB; n = 44 took up to 4.7 s and n = 46 up to 9.9 s
@@ -136,9 +142,10 @@ MAX_KZ_CHECK_N = 42
 
 
 def _check_size(n: int, m: int, max_dim: int, pairs: int = 0) -> None:
-    """Reject W[m] on n legs if its dimension is over ``max_dim``, or if
-    ``pairs`` dense operators on it hold over MAX_KZ_ENTRIES entries,
-    before anything is enumerated."""
+    """Reject W[m] on n legs, before anything is enumerated, if its
+    dimension d is over ``max_dim``, if its basis of d tuples of length n is
+    over MAX_BASIS_ENTRIES, or if ``pairs`` dense operators built from that
+    basis hold over MAX_KZ_ENTRIES entries or read over MAX_KZ_BUILD."""
     if n < 1:
         return  # the Verma layer reports it
     # weight_dim(n, m) >= max(n, m + 1) once n >= 2 and m >= 1, which keeps
@@ -147,9 +154,15 @@ def _check_size(n: int, m: int, max_dim: int, pairs: int = 0) -> None:
     dim = max_dim + 1 if over else verma.weight_dim(n, m)
     if dim > max_dim:
         raise ValueError(f"weight space at n={n}, m={m} has dimension over the limit {max_dim}")
+    if dim * n > MAX_BASIS_ENTRIES:
+        raise ValueError(f"weight basis at n={n}, m={m} has {dim} x {n} entries, over the limit {MAX_BASIS_ENTRIES}")
     if pairs * dim * dim > MAX_KZ_ENTRIES:
         raise ValueError(
             f"{pairs} Omega operators of dimension {dim} are over the limit of {MAX_KZ_ENTRIES} entries"
+        )
+    if pairs * dim * n > MAX_KZ_BUILD:
+        raise ValueError(
+            f"{pairs} Omega operators built from {dim} basis tuples of length {n} are over the limit {MAX_KZ_BUILD}"
         )
 
 

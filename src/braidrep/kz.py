@@ -57,10 +57,6 @@ class PathSegment:
     position: Callable
     velocity: Callable
 
-    def reversed(self) -> "PathSegment":
-        pos, vel = self.position, self.velocity
-        return PathSegment(lambda s: pos(1.0 - s), lambda s: -vel(1.0 - s))
-
 
 @dataclass(frozen=True)
 class ConfigPath:
@@ -68,24 +64,6 @@ class ConfigPath:
 
     n: int
     segments: tuple
-
-    def reversed(self) -> "ConfigPath":
-        return ConfigPath(self.n, tuple(seg.reversed() for seg in reversed(self.segments)))
-
-    def concat(self, other: "ConfigPath") -> "ConfigPath":
-        if self.n != other.n:
-            raise ValueError("point count mismatch")
-        return ConfigPath(self.n, self.segments + other.segments)
-
-    def min_pairwise_distance(self, samples: int = 257) -> float:
-        worst = math.inf
-        for seg in self.segments:
-            for k in range(samples):
-                z = seg.position(k / (samples - 1))
-                for i in range(self.n):
-                    for j in range(i + 1, self.n):
-                        worst = min(worst, abs(z[i] - z[j]))
-        return worst
 
 
 def basepoint(n: int) -> np.ndarray:
@@ -377,18 +355,9 @@ def flatness_residual(spec: KzSpec, point, tangent_u, tangent_v) -> float:
     relations in force this vanishes to rounding error.
     """
     a_u, a_v = (connection_value(spec, point, t) for t in (tangent_u, tangent_v))
-    num = float(np.max(np.abs(_commutator(a_u, a_v))))
+    num = float(np.max(np.abs(a_u @ a_v - a_v @ a_u)))
     den = float(np.max(np.abs(a_u)) * np.max(np.abs(a_v)))
     return num / den if den > 0 else num
-
-
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def curvature_form(spec: KzSpec, point, tangent_u, tangent_v) -> np.ndarray:
-    """Raw curvature evaluation [A(u), A(v)] (bilinear in the tangents)."""
-    return _commutator(*(connection_value(spec, point, t) for t in (tangent_u, tangent_v)))
 
 
 def homotopy_invariance_check(spec: KzSpec, tol: float = 1e-10) -> float:

@@ -100,23 +100,11 @@ class LaurentPoly:
 
     # -- canonical shape ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get(0) == 1
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def constant_value(self):
-        """The coefficient of the zero monomial, for constant polynomials."""
-        if self.variable is not None:
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get(0, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -305,7 +293,7 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     is at least min(a) - min(b), so a remainder term that would need a
     smaller one certifies non-divisibility.
     """
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     variable = a._common(b)
     bterms = b.terms

@@ -22,7 +22,7 @@ formulas.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -84,16 +84,9 @@ class WeightBasis:
     m: int
     lam: object
     indices: tuple
-    _positions: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_positions", {idx: k for k, idx in enumerate(self.indices)})
 
     def __len__(self):
         return len(self.indices)
-
-    def position(self, index) -> int:
-        return self._positions[tuple(index)]
 
 
 def _compositions(n: int, m: int):
@@ -149,14 +142,15 @@ def tensor_generator_matrix(generator: str, n: int, lam, m: int):
 
 def tensor_act(generator: str, vector: dict, n: int, lam, m: int) -> dict:
     """Coproduct action on a weight vector given as {multi-index: coeff} at
-    lowering degree m; the result lives at degree m+1 (F), m-1 (E), m (H)."""
+    lowering degree m; the result lives at degree m+1 (F), m-1 (E), m (H).
+    E kills F^0 v, so it visits only the legs with j > 0."""
     lam = as_scalar(lam)
     out: dict = {}
     for idx, coeff in vector.items():
         idx = tuple(idx)
         if len(idx) != n or sum(idx) != m:
             raise ValueError(f"index {idx} is not a degree-{m} multi-index of length {n}")
-        for leg in range(n):
+        for leg in [leg for leg, j in enumerate(idx) if j] if generator == "E" else range(n):
             for jnew, c in verma_act(generator, idx[leg], lam):
                 _accumulate(out, idx[:leg] + (jnew,) + idx[leg + 1 :], coeff * c)
     return out
@@ -238,13 +232,6 @@ def _echelon_kernel(rows, columns) -> list:
         for f, x in row.items():
             kernel[f][p] = -x
     return list(kernel.values())
-
-
-def kernel_basis_exact(mat, cols: int) -> list:
-    """Exact kernel of a Fraction matrix (list of rows), as one coordinate
-    tuple per free column of its reduced row echelon form."""
-    rows = ({c: Fraction(x) for c, x in enumerate(dense) if x} for dense in reversed(mat))
-    return _coordinates(_echelon_kernel(rows, range(cols)), range(cols), Fraction(0))
 
 
 def is_generic(lam, m: int) -> bool:

@@ -136,18 +136,6 @@ class BraidWord:
         return BraidWord(int(data["n"]), tuple((int(i), int(s)) for i, s in data["letters"]))
 
 
-def compose(a: BraidWord, b: BraidWord) -> BraidWord:
-    return a * b
-
-
-def inverse(w: BraidWord) -> BraidWord:
-    return w.inverse()
-
-
-def free_reduce(w: BraidWord) -> BraidWord:
-    return w.free_reduce()
-
-
 def underlying_permutation(w: BraidWord) -> Permutation:
     """Image of the word under sigma_i -> (i, i+1), letters applied left to
     right; built from the last letter back, as (i, i+1) then p swaps two images."""

@@ -18,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .laurent import LaurentPoly, RingMatrix, _column_product, _coordinates
 from .words import BraidWord
 
@@ -53,6 +51,8 @@ class RMatrixSpec:
         _check_dim(self.dim)
         d2 = self.dim * self.dim
         if self.ring == "complex":
+            import numpy as np  # only the complex ring needs numpy
+
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (d2, d2):
                 raise ValueError(f"expected {d2}x{d2} matrix, got {m.shape}")
@@ -81,6 +81,8 @@ class RMatrixSpec:
     def inverse_matrix(self):
         if self.exact:
             return self.matrix.inverse_unit_det()
+        import numpy as np
+
         return np.linalg.inv(self.matrix)
 
 
@@ -114,9 +116,9 @@ def identity_r(d: int = 2) -> RMatrixSpec:
 def _flipped(m, d: int):
     """tau m for a RingMatrix or ndarray m: row j*d + i is row i*d + j of m."""
     rows = [r % d * d + r // d for r in range(d * d)]
-    if isinstance(m, np.ndarray):
-        return m[rows]
-    return RingMatrix._sparse(d * d, d * d, [m._sparse_rows[r] for r in rows])
+    if isinstance(m, RingMatrix):
+        return RingMatrix._sparse(d * d, d * d, [m._sparse_rows[r] for r in rows])
+    return m[rows]
 
 
 def flip_matrix(d: int) -> RingMatrix:
@@ -193,6 +195,8 @@ def _dense(spec: RMatrixSpec, cols):
     """`_leg_product` columns as a RingMatrix, or a complex ndarray."""
     if spec.exact:
         return RingMatrix._from_columns(len(cols), cols)
+    import numpy as np
+
     return np.array(_coordinates(cols, range(len(cols)), 0j), dtype=complex).T.copy()
 
 
@@ -267,6 +271,8 @@ def r_matrix_from_json(data: dict) -> RMatrixSpec:
     ring = data["ring"]
     raw = data["matrix"]
     if ring == "complex":
+        import numpy as np
+
         m = np.asarray([[complex(re, im) for re, im in row] for row in raw])
         return RMatrixSpec(d, ring, m)
     variable = _RING_VARIABLES.get(ring)

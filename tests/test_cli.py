@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["alexander", "--n", "2", "s1 s1 s1"],
         ["verma", "dims", "--n", "3", "--m", "2", "--lambda", "7/3"],
         ["verma", "omega", "--n", "3", "--m", "2", "--i", "1", "--j", "2", "--lambda", "7/3"],
+        ["ybe", "--builtin", "rq"],
     ):
         codes.append(braidrep.cli.main(argv))
 exact_loads_numpy = "numpy" in sys.modules
@@ -327,7 +329,7 @@ def test_exact_subcommands_do_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "codes": [0] * 6,
+        "codes": [0] * 7,
         "exact_loads_numpy": False,
         "all_names_resolve": True,
         "kz_spec_is_kz_KzSpec": True,
@@ -367,9 +369,15 @@ def test_kz_check_builds_one_system(capsys, monkeypatch):
          "4000000 entries"),
         (("kz", "monodromy", "--n", "3000", "--m", "0", "--lambda", "1/3", "--h", "0.1", "--word", ""),
          "4000000 entries"),
+        (("verma", "dims", "--n", "3999", "--m", "1", "--lambda", "1/3"), "limit 2000000"),
+        (("verma", "omega", "--n", "10000000", "--m", "0", "--i", "1", "--j", "2", "--lambda", "1/3"),
+         "limit 2000000"),
+        (("kz", "monodromy", "--n", "501", "--m", "0", "--lambda", "1/3", "--h", "0.1", "--word", "s1"),
+         "limit 10000000"),
     ],
     ids=[
-        "dims", "dims-huge", "dims-elimination", "omega", "kz-check", "kz-huge", "kz-stack", "kz-many-legs"
+        "dims", "dims-huge", "dims-elimination", "omega", "kz-check", "kz-huge", "kz-stack", "kz-many-legs",
+        "dims-basis", "omega-basis", "kz-build",
     ],
 )
 def test_oversized_weight_spaces_are_rejected_before_building(capsys, monkeypatch, argv, limit):
@@ -488,3 +496,91 @@ def test_kz_check_strand_limit_admits_its_boundary(capsys, monkeypatch):
     assert code == 0 and set(json.loads(out)) == {"braid_residual", "flatness_residual", "homotopy_residual"}
     code, out = run_cli(capsys, *argv, "--n", "4")
     assert (code, json.loads(out)) == (1, {"error": "strand count 4 is over the limit 3"})
+
+
+def _dims(n, m, lam="1/3"):
+    return ("verma", "dims", "--n", str(n), "--m", str(m), "--lambda", lam)
+
+
+def _omega(n, m):
+    return ("verma", "omega", "--n", str(n), "--m", str(m), "--i", "1", "--j", "2", "--lambda", "1/3")
+
+
+def _kz(command, n, m):
+    word = ("--word", "s1") if command == "monodromy" else ()
+    return ("kz", command, "--n", str(n), "--m", str(m), "--lambda", "1/3", "--h", "0.1", *word)
+
+
+# Every CLI limit, at its boundary and just past it, along n and along d.
+# Limits whose real boundary is too slow for this suite are patched small.
+_GUARD_CASES = {
+    "braid-n": ({"cli.MAX_BRAID_N": 50}, ("braid", "--n", "50", "s1 s49^-1"), ("braid", "--n", "51", "s1")),
+    "burau-n": ({"cli.MAX_BURAU_N": 20}, ("burau", "--n", "20", "s1 s19^-1"), ("burau", "--n", "21", "s1")),
+    "burau-reduced-n": (
+        {"cli.MAX_BURAU_N": 20},
+        ("burau", "--reduced", "--n", "20", "s19"),
+        ("burau", "--reduced", "--n", "21", "s19"),
+    ),
+    # 341^3 = 39651821 <= 4e7 < 342^3, at the real limit
+    "alexander-n": ({}, ("alexander", "--n", "342", ""), ("alexander", "--n", "343", "")),
+    "alexander-letters": (
+        {"cli.MAX_ALEXANDER_WORK": 2**3 * 4**2},
+        ("alexander", "--n", "3", "s1 s2 s1^-1"),
+        ("alexander", "--n", "3", "s1 s2 s1^-1 s2"),
+    ),
+    "ybe-dim": ({"yang_baxter.SIZE_CAP": 27}, ("ybe", "--builtin", "flip", "--dim", "3"),
+                ("ybe", "--builtin", "flip", "--dim", "4")),
+    "dims-d": ({"cli.MAX_WEIGHT_DIM": 10}, _dims(2, 9), _dims(2, 10)),
+    "dims-n": ({"cli.MAX_WEIGHT_DIM": 10}, _dims(10, 1), _dims(11, 1)),
+    "dims-basis-n": ({"cli.MAX_BASIS_ENTRIES": 100}, _dims(100, 0), _dims(101, 0)),
+    "dims-basis-m1": ({"cli.MAX_BASIS_ENTRIES": 100}, _dims(10, 1), _dims(11, 1)),
+    "dims-elimination-d": ({"cli.MAX_DENSE_DIM": 10}, _dims(2, 9, "1"), _dims(2, 10, "1")),
+    "dims-elimination-n": ({"cli.MAX_DENSE_DIM": 10}, _dims(4, 2, "1"), _dims(5, 2, "1")),
+    "omega-d": ({"cli.MAX_DENSE_DIM": 10}, _omega(2, 9), _omega(2, 10)),
+    "omega-n": ({"cli.MAX_DENSE_DIM": 10}, _omega(10, 1), _omega(11, 1)),
+    "omega-basis-n": ({"cli.MAX_BASIS_ENTRIES": 100}, _omega(100, 0), _omega(101, 0)),
+    "kz-d": ({"cli.MAX_KZ_DIM": 10}, _kz("monodromy", 2, 9), _kz("monodromy", 2, 10)),
+    "kz-n": ({"cli.MAX_KZ_DIM": 10}, _kz("monodromy", 10, 1), _kz("monodromy", 11, 1)),
+    # 3 pairs x 6^2 entries at (3, 2); 3 x 10^2 at (3, 3), 6 x 10^2 at (4, 2)
+    "kz-stack-d": ({"cli.MAX_KZ_ENTRIES": 108}, _kz("monodromy", 3, 2), _kz("monodromy", 3, 3)),
+    "kz-stack-n": ({"cli.MAX_KZ_ENTRIES": 108}, _kz("monodromy", 3, 2), _kz("monodromy", 4, 2)),
+    # C(10, 2) pairs x 1 x 10 basis entries; C(11, 2) x 1 x 11
+    "kz-build-n": ({"cli.MAX_KZ_BUILD": 450}, _kz("monodromy", 10, 0), _kz("monodromy", 11, 0)),
+    "kz-check-n": ({"cli.MAX_KZ_CHECK_N": 4}, _kz("check", 4, 0), _kz("check", 5, 0)),
+    "kz-check-d": ({"cli.MAX_KZ_DIM": 3}, _kz("check", 2, 2), _kz("check", 2, 3)),
+}
+
+
+@pytest.mark.parametrize("patches, at_limit, past_limit", _GUARD_CASES.values(), ids=_GUARD_CASES)
+def test_every_limit_admits_its_boundary_and_rejects_past_it(capsys, monkeypatch, patches, at_limit, past_limit):
+    for target, value in patches.items():
+        monkeypatch.setattr(f"braidrep.{target}", value)
+    for argv, expected_code in ((at_limit, 0), (past_limit, 1)):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 10
+        payload = json.loads(out)
+        assert code == expected_code, payload
+        if expected_code:
+            error = payload["error"]
+            assert "limit" in error
+            assert "recursion" not in error.lower() and error not in ("MemoryError", "RecursionError")
+        else:
+            assert "error" not in payload
+
+
+def test_kz_transport_budget_admits_its_boundary(capsys, monkeypatch):
+    from braidrep import kz
+
+    argv = ("kz", "monodromy", "--n", "2", "--m", "3", "--lambda", "1/2", "--h", "1", "--word", "s1")
+    calls = []
+    connection = kz.KzSystem.connection
+    monkeypatch.setattr(kz.KzSystem, "connection", lambda self, z, v: calls.append(1) or connection(self, z, v))
+    code, _ = run_cli(capsys, *argv)
+    attempts = len(calls) // 7  # seven stages per DP5 attempt, accepted or rejected
+    assert code == 0 and attempts * 7 == len(calls)
+    monkeypatch.setattr(kz, "MAX_TRANSPORT_WORK", attempts * 48**3)  # d = 4 counts as 48
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(kz, "MAX_TRANSPORT_WORK", attempts * 48**3 - 1)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1 and "work budget" in json.loads(out)["error"]

@@ -15,8 +15,9 @@ from braidrep.burau import reduced_burau
 from braidrep.kz import (
     KzSpec,
     KzSystem,
+    ConfigPath,
+    PathSegment,
     connection_value,
-    curvature_form,
     flatness_residual,
     generator_path,
     homotopy_invariance_check,
@@ -39,20 +40,31 @@ def _random_config(rng, n, min_sep=0.3):
             return z
 
 
+def _min_pairwise_distance(path, samples=257):
+    """Closest approach of any two points, over ``samples`` evenly spaced
+    parameters of each segment."""
+    worst = math.inf
+    for seg in path.segments:
+        for k in range(samples):
+            z = seg.position(k / (samples - 1))
+            worst = min(worst, min(abs(z[i] - z[j]) for i in range(path.n) for j in range(i + 1, path.n)))
+    return worst
+
+
 def test_generator_path_endpoints_and_distance():
     path = generator_path(3, 1)
     seg = path.segments[0]
     start, end = seg.position(0.0), seg.position(1.0)
     assert np.allclose(start, [1, 2, 3])
     assert np.allclose(end, [2, 1, 3])
-    assert path.min_pairwise_distance() > 0.49
+    assert _min_pairwise_distance(path) > 0.49
     rev = generator_path(3, 1, -1)
     assert np.allclose(rev.segments[0].position(1.0), [2, 1, 3])
 
 
 def test_ellipse_loop_stays_separated():
     for n in (2, 3):
-        assert pure_loop_path(n, 1, (0.5, 0.3)).min_pairwise_distance() > 0.49
+        assert _min_pairwise_distance(pure_loop_path(n, 1, (0.5, 0.3))) > 0.49
 
 
 def test_connection_value_examples():
@@ -92,8 +104,9 @@ def test_transport_zero_parameter_is_identity():
 
 def test_transport_of_path_and_reverse_is_identity():
     spec = KzSpec(3, Fraction(1, 2), 1, h=0.2)
-    path = generator_path(3, 1)
-    loop = path.concat(path.reversed())
+    (seg,) = generator_path(3, 1).segments
+    back = PathSegment(lambda s: seg.position(1.0 - s), lambda s: -seg.velocity(1.0 - s))
+    loop = ConfigPath(3, (seg, back))
     result = parallel_transport(spec, loop, 1e-10)
     assert np.max(np.abs(result.matrix - np.eye(3))) < 1e-9
 
@@ -230,6 +243,11 @@ def test_curvature_form_bilinearity():
     z = _random_config(rng, 3)
     u = rng.normal(size=3) + 1j * rng.normal(size=3)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
+
+    def curvature_form(spec, point, tangent_u, tangent_v):
+        a, b = (connection_value(spec, point, t) for t in (tangent_u, tangent_v))
+        return a @ b - b @ a
+
     lhs = curvature_form(spec, z, 2 * u, v)
     rhs = 2 * curvature_form(spec, z, u, v)
     assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -117,7 +117,7 @@ def test_exact_division_roundtrip_random():
     for _ in range(200):
         a = random_poly(rng, "s", fractions=rng.random() < 0.5)
         b = random_poly(rng, "s", fractions=rng.random() < 0.5)
-        if b.is_zero():
+        if not b:
             continue
         assert exact_div(a * b, b) == a
         if not b.is_monomial():
@@ -279,7 +279,7 @@ def test_adjugate_and_inverse_against_laplace_oracle(fractions):
         if size == 1:
             rows[0][0] = 3 * T
         m = RingMatrix.from_rows(rows)
-        if m.det().is_zero():
+        if not m.det():
             continue
         checked += 1
         adj = m.adjugate()
@@ -296,7 +296,7 @@ def test_adjugate_and_inverse_against_laplace_oracle(fractions):
         )
         swap = RingMatrix.from_rows([[int(c == (r + 1) % size) for c in range(size)] for r in range(size)])
         m = lower @ swap @ lower.transpose()
-        assert m[0, 0].is_zero()
+        assert not m[0, 0]
         inv = m.inverse_unit_det()
         assert (m @ inv).is_identity() and (inv @ m).is_identity()
         assert inv == m.adjugate().scale(m.det().unit_inverse())

@@ -9,14 +9,15 @@ from math import comb
 
 import pytest
 
+from braidrep.laurent import _coordinates
 from braidrep.verma import (
     _OMEGA_PAIRS,
     DegenerateWeightWarning,
+    _echelon_kernel,
     casimir_eigenvalue,
     equivariance_check,
     generic_null_dim,
     kd_relation_check,
-    kernel_basis_exact,
     leg_permutation_matrix,
     nullspace_basis,
     omega_matrix,
@@ -157,6 +158,22 @@ def test_tensor_act_vector_form():
         tensor_act("F", {(1, 0): Fraction(1)}, 2, LAM, 0)
 
 
+def test_tensor_act_on_many_legs_matches_an_all_legs_loop():
+    # E kills F^0 v, so tensor_act visits only the legs with j > 0; the
+    # reference visits every leg of every index through verma_act
+    n, m = 40, 2
+    rng = random.Random(40)
+    basis = weight_space_basis(n, LAM, m)
+    vector = {idx: rng.randint(-5, 5) for idx in basis.indices}
+    expected = {}
+    for idx, coeff in vector.items():
+        for leg in range(n):
+            for jnew, c in verma_act("E", idx[leg], LAM):
+                key = idx[:leg] + (jnew,) + idx[leg + 1 :]
+                expected[key] = expected.get(key, 0) + coeff * c
+    assert tensor_act("E", vector, n, LAM, m) == {k: x for k, x in expected.items() if x}
+
+
 def test_omega_highest_weight_block():
     om = omega_matrix(2, 1, 2, LAM, 0)
     assert om.block == ((LAM * LAM / 8,),)
@@ -167,8 +184,8 @@ def test_omega_cross_term_coefficient():
     # with coefficient lam/4 (E emits j(lam-j+1) = lam at j=1, F emits 1)
     basis = weight_space_basis(3, LAM, 1)
     om = omega_matrix(3, 1, 2, LAM, 1)
-    src = basis.position((1, 0, 0))
-    dst = basis.position((0, 1, 0))
+    src = basis.indices.index((1, 0, 0))
+    dst = basis.indices.index((0, 1, 0))
     assert om.block[dst][src] == LAM / 4
 
 
@@ -264,6 +281,14 @@ def test_coproduct_casimir_lemma():
                 assert lhs == 2 * omega[i][j]
 
 
+def kernel_basis_exact(mat, cols: int) -> list:
+    """Exact kernel of a dense Fraction matrix (list of rows), as one
+    coordinate tuple per free column of its reduced row echelon form: the
+    dense reference for the sparse null vectors of the library."""
+    rows = ({c: Fraction(x) for c, x in enumerate(dense) if x} for dense in reversed(mat))
+    return _coordinates(_echelon_kernel(rows, range(cols)), range(cols), Fraction(0))
+
+
 def _assert_reduced_echelon_kernel(mat, cols):
     """The kernel basis read off the reduced row echelon form: vector v of
     free column f is in ker M, 1 at f, 0 at the other free columns, and
@@ -327,7 +352,7 @@ def test_weight_basis_order_matches_product_filter():
             basis = weight_space_basis(n, Fraction(7, 3), m)
             expected = tuple(j for j in product(range(m + 1), repeat=n) if sum(j) == m)
             assert basis.indices == expected
-            assert [basis.position(j) for j in expected] == list(range(len(expected)))
+            assert [basis.indices.index(j) for j in expected] == list(range(len(expected)))
 
 
 def test_weight_basis_large_n_without_scan():

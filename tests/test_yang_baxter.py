@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from braidrep.alexander import alexander_conway
 from braidrep.laurent import LaurentPoly, RingMatrix
 from braidrep.words import BraidWord, underlying_permutation
 from braidrep.yang_baxter import (
@@ -168,7 +169,7 @@ def test_flip_word_order_matches_permutation_oracle():
                         dst[perm.images[leg] - 1] = src[leg]
                     col = (src[0] << 2) | (src[1] << 1) | src[2]
                     row = (dst[0] << 2) | (dst[1] << 1) | dst[2]
-                    assert m.entries[row][col].is_one()
+                    assert m.entries[row][col] == 1
 
 
 # -- oracle: dense placements from the index formula, independent of the
@@ -282,3 +283,40 @@ def test_ybe_norms_match_dense_products(spec):
         assert got == (braid, qybe)
     else:
         assert got == pytest.approx((braid, qybe), abs=1e-12)
+
+
+# -- oracle: the gl(1|1) R-matrix and the Alexander-Conway polynomial
+# (Kauffman-Saleur, Comm. Math. Phys. 141 (1991)); the two sides share only
+# the Laurent ring
+
+
+def test_gl11_partial_supertrace_is_the_conway_polynomial():
+    # R is rq_r with its last diagonal entry q replaced by -q^-1.  With the
+    # enhancement mu = diag(q^-1, -q^-1) on legs 2..n, the trace over those
+    # legs of the braid action is (-1)^(c-1) times the Conway polynomial of
+    # the closure at s = q, times the identity on leg 1
+    q = LaurentPoly.var("q")
+    qinv = q.unit_inverse()
+    rows = [list(row) for row in rq_r().matrix.entries]
+    rows[3][3] = -qinv
+    spec = RMatrixSpec(2, "laurent:q", RingMatrix.from_rows(rows))
+    mu = (qinv, -qinv)
+    rng = random.Random(27)
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        letters = tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 10)))
+        w = BraidWord(n, letters)
+        rep = rep_from_r(spec, n, w)
+        half = 2 ** (n - 1)  # leg 1 is the most significant index
+        weights = [LaurentPoly.constant(1)] * half
+        for rest in range(half):
+            for leg in range(n - 1):
+                weights[rest] = weights[rest] * mu[rest >> leg & 1]
+        trace = [
+            [sum((rep[a * half + r, b * half + r] * weights[r] for r in range(half)), LaurentPoly.constant(0))
+             for b in range(2)]
+            for a in range(2)
+        ]
+        conway = alexander_conway(w)
+        value = (-1) ** (conway.components - 1) * conway.poly.substitute_hom("s", q)
+        assert trace == [[value, 0], [0, value]], str(w)
