@@ -132,9 +132,10 @@ MAX_DENSE_DIM = 1400
 MAX_BASIS_ENTRIES = 2_000_000
 MAX_KZ_DIM = 500  # kz, O(d^3) per DP5 step: one letter at d = 462 took 5.3 s
 MAX_KZ_ENTRIES = 4_000_000  # kz Omega stack, P d^2 entries: 3.2e6 took 154 MB
-# kz builds each of the P = C(n, 2) Omega blocks from the basis, P d n tuple
-# entries in all: 9.9e6 (n = 271, m = 0, s1) took 1.8-2.0 s, 37 MB
-MAX_KZ_BUILD = 10**7
+# kz reads the Omega stack off one pass over the basis, slicing an n-tuple for
+# each of the P = C(n, 2) pairs of each of the d basis tuples, P d n in all:
+# 1.5e7 (n = 311, m = 0) took 1.0-1.35 s with s1 and s1 s2 s1^-1, 40 MB
+MAX_KZ_BUILD = 15 * 10**6
 # kz check redraws all n sample points until every pair is 0.3 apart, about
 # exp(0.0079 C(n, 2)) draws: n = 42 took 1.5-2.2 s at m = 0 (seeds 0-2) and
 # 2.5 s at m = 1, 31-56 MB; n = 44 took up to 4.7 s and n = 46 up to 9.9 s

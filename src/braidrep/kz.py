@@ -5,8 +5,10 @@ on the trivial bundle over the ordered configuration space, restricted to a
 weight-graded piece W[n lam - 2m] (optionally to its nullvector subspace).
 Two parameter conventions are exposed, pref = h / (2 pi i) and pref = 1/tau;
 internally everything is one complex prefactor.  The Omegas of one spec
-are held as a stacked (P, d, d) array, built once and shared by every entry
-point, so the connection is one product of the P dlog coefficients with it.
+are held as a stacked (P, d, d) array, read off the sparse Omega action in
+one pass over the weight basis together with the leg swaps, built once and
+shared by every entry point, so the connection is one product of the P dlog
+coefficients with it.
 
 Braid generators are represented by counterclockwise half-turns of the two
 moving points about their midpoint (clockwise for the inverse letter);
@@ -28,25 +30,18 @@ from typing import Callable
 import numpy as np
 
 from .laurent import _coordinates
-from .verma import (
-    _null_vectors,
-    as_scalar,
-    is_generic,
-    leg_permutation_matrix,
-    omega_matrix,
-    weight_dim,
-    weight_space_basis,
-)
-from .words import BraidWord, Permutation, underlying_permutation
+from .verma import _null_vectors, _omega_act, as_scalar, is_generic, weight_dim, weight_space_basis
+from .words import BraidWord
 
 MIN_POINT_DISTANCE = 1e-9
 
-# Work budget of one transport segment, in DP5 step attempts (accepted or
-# rejected) times d^3, with d taken as at least 48: a step costs about
-# 1.2-3.4e-9 s per d^3 unit at d >= 81, and about 0.3 ms of fixed overhead
-# at d <= 20 (2 CPUs).  The largest segment of the tests, the scripts and
-# the benchmark decks does 3.3e6 units (d = 56, 19 attempts); one letter at
-# the size limit, d = 462, does 2.1-2.4e9 (21-24 attempts at |h| 0.1-0.2).
+# Work budget of one parallel_transport or monodromy call, over all its
+# segments and letters, in DP5 step attempts (accepted or rejected) times d^3,
+# with d taken as at least 48: a step costs about 1.2-3.4e-9 s per d^3 unit at
+# d >= 81, and about 0.3 ms of fixed overhead at d <= 20 (2 CPUs).  The
+# largest call of the tests does 7.0e7 units (d = 15, 635 attempts); one
+# letter at the size limit, d = 462, does 2.1-2.4e9 (21-24 attempts at |h|
+# 0.1-0.2), so the budget admits words of four letters there.
 MAX_TRANSPORT_WORK = 10**10
 
 
@@ -142,7 +137,7 @@ class KzSpec:
             raise ValueError("need at least two strands")
         if self.m < 0:
             raise ValueError(f"weight level m must be non-negative, got {self.m}")
-        for name in ("h", "tau"):
+        for name in ("lam", "h", "tau"):
             value = getattr(self, name)
             if value is not None and not cmath.isfinite(complex(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -163,7 +158,6 @@ class MonodromyResult:
     matrix: np.ndarray
     est_error: float
     steps: int
-    leg_permutation: Permutation | None = None
 
 
 class KzSystem:
@@ -171,7 +165,9 @@ class KzSystem:
 
     ``omegas`` stacks Omega^{ij} for (i, j) in ``pairs`` (i < j,
     lexicographic) as a (P, d, d) array, and ``swaps[i - 1]`` is the leg
-    swap of sigma_i; the entry points share one system per spec.
+    swap of sigma_i; the entry points share one system per spec.  Column k
+    of each is the image of the k-th weight basis vector, under the sparse
+    Omega action on one leg pair or with legs i and i + 1 exchanged.
 
     With ``restrict_to_nullspace`` each operator X is compressed to the
     nullspace basis B of ``nullspace_matrix``: X maps N[n lam - 2m] into
@@ -183,15 +179,20 @@ class KzSystem:
         self.spec = spec
         n, m = spec.n, spec.m
         lam_c = complex(spec.lam)
+        unit = lam_c - lam_c + 1
         self.pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
         self._legs = np.array(self.pairs).T - 1
-        self.dim = weight_dim(n, m)
-        omegas = np.empty((len(self.pairs), self.dim, self.dim), dtype=complex)
-        for p, (i, j) in enumerate(self.pairs):
-            omegas[p] = omega_matrix(n, i, j, lam_c, m).block
-        swaps = np.empty((n - 1, self.dim, self.dim), dtype=complex)
-        for i in range(1, n):
-            swaps[i - 1] = leg_permutation_matrix(n, lam_c, m, Permutation.transposition(n, i).images)
+        indices = weight_space_basis(n, lam_c, m).indices
+        position = {idx: k for k, idx in enumerate(indices)}
+        self.dim = len(indices)
+        omegas = np.zeros((len(self.pairs), self.dim, self.dim), dtype=complex)
+        swaps = np.zeros((n - 1, self.dim, self.dim), dtype=complex)
+        for k, idx in enumerate(indices):
+            for p, pair in enumerate(self.pairs):
+                for tgt, c in _omega_act({idx: unit}, (pair,), lam_c).items():
+                    omegas[p, position[tgt], k] = c
+            for i in range(1, n):
+                swaps[i - 1, position[idx[: i - 1] + (idx[i], idx[i - 1]) + idx[i + 1 :]], k] = unit
         if spec.restrict_to_nullspace:
             basis = nullspace_matrix(n, spec.lam, m)
             self.dim = basis.shape[1]
@@ -256,15 +257,15 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _transport_segment(afun, psi: np.ndarray, tol: float):
+def _transport_segment(afun, psi: np.ndarray, tol: float, attempts: int):
     """Integrate Psi' = A(s) Psi over s in [0,1] with adaptive embedded
-    Dormand-Prince steps; deterministic acceptance, mixed abs/rel control."""
+    Dormand-Prince steps; deterministic acceptance, mixed abs/rel control.
+    ``attempts`` counts the whole call's step attempts against one budget."""
     s = 0.0
     hstep = 0.1
     est = 0.0
     steps = 0
     max_attempts = MAX_TRANSPORT_WORK // max(len(psi), 48) ** 3
-    attempts = 0
     while s < 1.0:
         hstep = min(hstep, 1.0 - s)
         if hstep < 1e-14:
@@ -302,25 +303,26 @@ def _transport_segment(afun, psi: np.ndarray, tol: float):
             hstep *= max(0.2, 0.9 * (scale / local) ** 0.2)
         if not np.isfinite(psi).all():
             raise ArithmeticError("non-finite transport value")
-    return psi, est, steps
+    return psi, est, steps, attempts
 
 
-def _transport(system: KzSystem, path: ConfigPath, tol: float) -> MonodromyResult:
-    """Parallel transport along a path, starting from the identity frame."""
+def _transport(system: KzSystem, path: ConfigPath, tol: float, attempts: int = 0):
+    """Parallel transport along a path, starting from the identity frame,
+    and the step attempts counted so far."""
     psi = np.eye(system.dim, dtype=complex)
     est, steps = 0.0, 0
     for seg in path.segments:
         afun = lambda s: system.connection(seg.position(s), seg.velocity(s))
-        psi, seg_est, seg_steps = _transport_segment(afun, psi, tol)
+        psi, seg_est, seg_steps, attempts = _transport_segment(afun, psi, tol, attempts)
         est += seg_est
         steps += seg_steps
-    return MonodromyResult(psi, est, steps)
+    return MonodromyResult(psi, est, steps), attempts
 
 
 def parallel_transport(spec: KzSpec, path: ConfigPath, tol: float = 1e-9) -> MonodromyResult:
     """Parallel transport along a path, starting from the identity frame."""
     _check_tolerance(tol)
-    return _transport(_system(spec), path, tol)
+    return _transport(_system(spec), path, tol)[0]
 
 
 def monodromy(spec: KzSpec, w: BraidWord, tol: float = 1e-9) -> MonodromyResult:
@@ -331,13 +333,13 @@ def monodromy(spec: KzSpec, w: BraidWord, tol: float = 1e-9) -> MonodromyResult:
         raise ValueError(f"word on {w.n} strands does not match spec n={spec.n}")
     system = _system(spec)
     total = np.eye(system.dim, dtype=complex)
-    est, steps = 0.0, 0
+    est, steps, attempts = 0.0, 0, 0
     for i, sign in w.letters:
-        letter = _transport(system, generator_path(spec.n, i, sign), tol)
+        letter, attempts = _transport(system, generator_path(spec.n, i, sign), tol, attempts)
         total = system.swaps[i - 1] @ letter.matrix @ total  # first letter acts first
         est += letter.est_error
         steps += letter.steps
-    return MonodromyResult(total, est, steps, underlying_permutation(w))
+    return MonodromyResult(total, est, steps)
 
 
 def nullspace_rep(spec: KzSpec, w: BraidWord, tol: float = 1e-9) -> MonodromyResult:

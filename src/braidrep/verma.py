@@ -91,8 +91,9 @@ class WeightBasis:
 
 def _compositions(n: int, m: int):
     """Compositions (j_1, ..., j_n) of m into non-negative parts, in
-    lexicographic order: the gaps around n - 1 bars among m + n - 1 slots."""
-    for bars in combinations(range(m + n - 1), n - 1):
+    lexicographic order: the gaps around n - 1 bars among m + n - 1 slots.
+    combinations copies its pool, so one leg, with no bars, gets none."""
+    for bars in combinations(range(m + n - 1) if n > 1 else (), n - 1):
         edges = (-1, *bars, m + n - 1)
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 

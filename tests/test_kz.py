@@ -200,7 +200,6 @@ def test_permutation_operator_at_h_zero():
         spec = KzSpec(3, Fraction(1, 2), 1, h=0.0)
         result = monodromy(spec, w, 1e-9)
         perm = underlying_permutation(w)
-        assert result.leg_permutation == perm
         basis = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
         pos = {idx: k for k, idx in enumerate(basis)}
         expected = np.zeros((3, 3))
@@ -480,6 +479,39 @@ def test_nullspace_matrix_rejects_degenerate_complex_weight(lam):
         nullspace_matrix(3, lam, 2)
 
 
+def _swap_images(n, i):
+    images = list(range(1, n + 1))
+    images[i - 1], images[i] = i + 1, i
+    return images
+
+
+@pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(1, 2), 0.4 - 0.3j])
+def test_system_build_matches_the_dense_references(lam):
+    # the one-pass build against omega_matrix and leg_permutation_matrix,
+    # which enumerate the basis and densify each operator on their own
+    lam_c = complex(lam)
+    for n, m in [(n, m) for n in range(2, 6) for m in range(4)] + [(6, 4), (30, 0), (12, 1)]:
+        system = KzSystem(KzSpec(n, lam, m, h=H_SMALL))
+        assert len(system.omegas) == len(system.pairs) == n * (n - 1) // 2 and len(system.swaps) == n - 1
+        for (i, j), omega in zip(system.pairs, system.omegas):
+            assert np.array_equal(omega, np.asarray(omega_matrix(n, i, j, lam_c, m).block, dtype=complex))
+        for i, swap in enumerate(system.swaps, 1):
+            reference = leg_permutation_matrix(n, lam_c, m, _swap_images(n, i))
+            assert np.array_equal(swap, np.asarray(reference, dtype=complex))
+
+
+def test_system_build_enumerates_the_basis_once(monkeypatch):
+    from braidrep import verma
+
+    calls = []
+    enumerate_basis = verma.weight_space_basis
+    counting = lambda *args: calls.append(args) or enumerate_basis(*args)
+    monkeypatch.setattr(verma, "weight_space_basis", counting)
+    monkeypatch.setattr(kz, "weight_space_basis", counting)
+    KzSystem(KzSpec(4, Fraction(1, 3), 3, h=H_SMALL))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("lam", [Fraction(7, 3), 0.4 - 0.3j])
 def test_compressed_operators_are_exact_restrictions(lam):
     # X B = B C for every Omega and leg swap X, where C is the compressed
@@ -493,7 +525,5 @@ def test_compressed_operators_are_exact_restrictions(lam):
         om = np.asarray(omega_matrix(n, i, j, lam_c, m).block, dtype=complex)
         assert np.max(np.abs(om @ basis - basis @ compressed)) < 1e-12
     for i, compressed in enumerate(system.swaps, 1):
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = i + 1, i
-        swap = np.asarray(leg_permutation_matrix(n, lam_c, m, images), dtype=complex)
+        swap = np.asarray(leg_permutation_matrix(n, lam_c, m, _swap_images(n, i)), dtype=complex)
         assert np.max(np.abs(swap @ basis - basis @ compressed)) < 1e-12
