@@ -15,7 +15,7 @@ knot invariant the first one produces:
 from .alexander import ConwayResult, alexander_conway, markov_f, markov_invariance_check, skein_check
 from .burau import BurauImage, burau, conjugation_check, reduced_burau, reduced_generator, unreduced_generator
 from .laurent import ExactDivisionError, LaurentPoly, RingMatrix, exact_div
-from .verma import WeightBasis, casimir_eigenvalue, nullspace_basis, omega_matrix, tensor_act, verma_act, weight_space_basis
+from .verma import WeightBasis, casimir_eigenvalue, nullspace_basis, tensor_act, verma_act, weight_space_basis
 from .words import (
     BraidWord,
     Permutation,
@@ -69,7 +69,6 @@ __all__ = [
     "monodromy",
     "nullspace_basis",
     "nullspace_rep",
-    "omega_matrix",
     "parallel_transport",
     "reduced_burau",
     "reduced_generator",

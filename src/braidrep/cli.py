@@ -123,12 +123,14 @@ def _check_level(m: int) -> None:
 # Size limits of the Verma and KZ subcommands, each set just above a case
 # measured on 2 CPUs (child wall time and peak RSS; README, "Input limits").
 MAX_WEIGHT_DIM = 4000  # verma dims: d = 3876 took 1.5-2.1 s, 27 MB
-# verma omega (d^2 exact entries and their JSON): d = 1365 took 3.4 s, 171 MB;
-# verma dims at lam in 0..m-1 (sparse echelon form, no dense matrix): d = 1365
-# took 1.4-2.1 s, 27 MB, and d = 3654-3876 took 8-19 s (n=4, m=26; n=5, m=15)
+# verma omega (d^2 JSON strings from the sparse Omega images): d = 1365 took
+# 0.27-0.3 s, 51 MB.  The limit is set by verma dims at lam in 0..m-1 (sparse
+# echelon form): d = 1365 took 1.4-2.1 s, 27 MB, and d = 3654-3876 took 8-19 s
+# (n=4, m=26; n=5, m=15)
 MAX_DENSE_DIM = 1400
 # verma and kz, a basis of d tuples of length n: verma dims at n = 2000000,
-# m = 0 took 0.4-0.5 s, 170 MB, and n = 1414, m = 1 took 0.45 s, 47 MB
+# m = 0 took 0.4-0.5 s, 170 MB, and n = 1414, m = 1 took 0.45 s, 47 MB;
+# verma omega at n = 1400, m = 1 took 0.45-0.5 s, 58 MB
 MAX_BASIS_ENTRIES = 2_000_000
 MAX_KZ_DIM = 500  # kz, O(d^3) per DP5 step: one letter at d = 462 took 5.3 s
 MAX_KZ_ENTRIES = 4_000_000  # kz Omega stack, P d^2 entries: 3.2e6 took 154 MB
@@ -181,13 +183,17 @@ def cmd_verma_omega(args) -> dict:
     lam = parse_weight(args.lam)
     if not isinstance(lam, Fraction):
         raise ValueError("omega export needs a rational highest weight")
-    block = verma.omega_matrix(args.n, args.i, args.j, lam, args.m).block
-    entries = [[str(Fraction(x)) for x in row] for row in block]
-    return {
-        "i": args.i,
-        "j": args.j,
-        "matrix": {"rows": len(block), "cols": len(block), "entries": entries},
-    }
+    n, i, j = args.n, args.i, args.j
+    if not (1 <= i < j <= n):
+        raise ValueError(f"bad leg pair ({i}, {j}) for n={n}")
+    indices = verma.weight_space_basis(n, lam, args.m).indices
+    position = {idx: k for k, idx in enumerate(indices)}
+    d = len(indices)
+    entries = [["0"] * d for _ in indices]
+    for k, idx in enumerate(indices):
+        for tgt, c in verma._omega_act({idx: Fraction(1)}, ((i, j),), lam).items():
+            entries[position[tgt]][k] = str(c)
+    return {"i": i, "j": j, "matrix": {"rows": d, "cols": d, "entries": entries}}
 
 
 def _kz_spec(args, restrict: bool):
@@ -306,14 +312,12 @@ def _selftest_checks(seed: int):
         for spec in (yang_baxter.identity_r(2), yang_baxter.flip_r(3), yang_baxter.rq_r()):
             if not yang_baxter.check_braid_ybe(spec).passes:
                 return False
-        bad = yang_baxter.RMatrixSpec(
-            2,
-            "rational",
-            yang_baxter.RingMatrix.from_rows(
+        draw = None
+        while draw is None or not draw.det():  # a singular draw is no r-matrix: redraw
+            draw = yang_baxter.RingMatrix.from_rows(
                 [[Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
-            ),
-        )
-        return yang_baxter.check_braid_ybe(bad).norm != 0
+            )
+        return yang_baxter.check_braid_ybe(yang_baxter.RMatrixSpec(2, "rational", draw)).norm != 0
 
     def verma_check():
         lam = Fraction(7, 3)
@@ -328,9 +332,9 @@ def _selftest_checks(seed: int):
         lam = Fraction(1, 2)
         spec = kz.KzSpec(2, lam, 1, h=0.1)
         result = kz.monodromy(spec, words.BraidWord.parse("s1 s1", 2), 1e-9)
-        om = np.asarray(
-            verma.omega_matrix(2, 1, 2, complex(float(lam)), 1).block, dtype=complex
-        )
+        basis = verma.weight_space_basis(2, lam, 1).indices
+        columns = [verma._omega_act({idx: 1}, ((1, 2),), lam) for idx in basis]
+        om = np.array([[col.get(idx, 0) for col in columns] for idx in basis], dtype=complex)
         expected = np.eye(2, dtype=complex)
         term = np.eye(2, dtype=complex)
         for k in range(1, 30):

@@ -123,24 +123,6 @@ def _accumulate(out: dict, idx, value) -> None:
         out.pop(idx, None)
 
 
-def _dense_block(action, dom: WeightBasis, cod: WeightBasis) -> list:
-    """Matrix (list of rows) of a sparse action from dom to cod: column J is
-    the image of the unit vector at J, and absent entries are lam's zero."""
-    zero = dom.lam - dom.lam
-    columns = _coordinates([action({idx: zero + 1}) for idx in dom.indices], cod.indices, zero)
-    return [list(row) for row in zip(*columns)] if columns else [[] for _ in cod.indices]
-
-
-def tensor_generator_matrix(generator: str, n: int, lam, m: int):
-    """Matrix of the coproduct (Leibniz) action of a generator, as a map
-    W[m] -> W[m'] where m' = m+1 for F, m-1 for E, m for H."""
-    lam = as_scalar(lam)
-    delta = {"F": 1, "E": -1, "H": 0}[generator]
-    dom = weight_space_basis(n, lam, m)
-    cod = weight_space_basis(n, lam, m + delta)
-    return _dense_block(lambda v: tensor_act(generator, v, n, lam, m), dom, cod)
-
-
 def tensor_act(generator: str, vector: dict, n: int, lam, m: int) -> dict:
     """Coproduct action on a weight vector given as {multi-index: coeff} at
     lowering degree m; the result lives at degree m+1 (F), m-1 (E), m (H).
@@ -170,38 +152,6 @@ def _omega_act(vector: dict, legs, lam) -> dict:
                         tgt = idx[: i - 1] + (ja,) + idx[i : j - 1] + (jb,) + idx[j:]
                         _accumulate(out, tgt, coeff * c * ca * cb)
     return out
-
-
-@dataclass(frozen=True)
-class OmegaMatrix:
-    """Omega placed on tensor legs (i, j), restricted to a weight basis."""
-
-    i: int
-    j: int
-    block: tuple
-
-
-def omega_matrix(n: int, i: int, j: int, lam, m: int) -> OmegaMatrix:
-    """Exact matrix of Omega acting on legs (i, j) of W[n lam - 2m]."""
-    if not (1 <= i < j <= n):
-        raise ValueError(f"bad leg pair ({i}, {j}) for n={n}")
-    lam = as_scalar(lam)
-    basis = weight_space_basis(n, lam, m)
-    block = _dense_block(lambda v: _omega_act(v, [(i, j)], lam), basis, basis)
-    return OmegaMatrix(i, j, tuple(tuple(r) for r in block))
-
-
-def leg_permutation_matrix(n: int, lam, m: int, images) -> list:
-    """Permutation operator on W[m] induced by permuting tensor legs.
-
-    ``images`` are 1-based images of legs 1..n; the basis vector with
-    multi-index J maps to the one with entries J'_k = J_{perm^{-1}(k)}.
-    """
-    basis = weight_space_basis(n, as_scalar(lam), m)
-    source = {image - 1: leg for leg, image in enumerate(images)}
-    return _dense_block(
-        lambda v: {tuple(idx[source[k]] for k in range(n)): c for idx, c in v.items()}, basis, basis
-    )
 
 
 # -- exact linear algebra over Fractions -------------------------------------

@@ -25,8 +25,6 @@ from braidrep.verma import (
     equivariance_check,
     kd_relation_check,
     nullspace_basis,
-    omega_matrix,
-    tensor_generator_matrix,
     verma_act,
     weight_dim,
     weight_space_basis,
@@ -42,6 +40,7 @@ from braidrep.yang_baxter import (
     rep_from_r,
     rq_r,
 )
+from verma_dense import omega_matrix, tensor_generator_matrix
 
 S = LaurentPoly.var("s")
 SINV = S.unit_inverse()
@@ -197,7 +196,7 @@ def test_criterion_08_algebraic_lemmas():
             e_from_up = tensor_generator_matrix("E", 2, lam, m + 1)
             e_down = tensor_generator_matrix("E", 2, lam, m)
             f_from_down = tensor_generator_matrix("F", 2, lam, m - 1) if m else []
-            omega = omega_matrix(2, 1, 2, lam, m).block
+            omega = omega_matrix(2, 1, 2, lam, m)
             scalar = 2 * casimir_eigenvalue(lam)
             for i in range(dim):
                 for j in range(dim):
@@ -267,7 +266,7 @@ def test_criterion_09_kz_numerics():
             spec = KzSpec(2, Fraction(7, 3), m, h=h)
             got = monodromy(spec, BraidWord.parse("s1 s1", 2), 1e-9)
             om = np.asarray(
-                omega_matrix(2, 1, 2, complex(float(Fraction(7, 3))), m).block, dtype=complex
+                omega_matrix(2, 1, 2, complex(float(Fraction(7, 3))), m), dtype=complex
             )
             assert float(np.max(np.abs(got.matrix - expm(h * om)))) <= 1e-8
         # (d) homotopy invariance

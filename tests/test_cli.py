@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from braidrep.cli import main
 from braidrep.laurent import LaurentPoly, RingMatrix
 from braidrep.yang_baxter import r_matrix_from_json, r_matrix_to_json, rq_r
+from verma_dense import omega_matrix
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +222,14 @@ def test_selftest_deterministic_bytes():
     }
 
 
+@pytest.mark.parametrize("seed", [296319, 676621, 785915])
+def test_selftest_redraws_a_singular_r_matrix(capsys, seed):
+    # these seeds first draw a singular 4x4 "bad" R for the Yang-Baxter check
+    code, out = run_cli(capsys, "selftest", "--seed", str(seed))
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+
+
 def test_verma_omega_export(capsys):
     code, out = run_cli(
         capsys, "verma", "omega", "--n", "2", "--m", "0", "--i", "1", "--j", "2", "--lambda", "7/3"
@@ -227,6 +237,41 @@ def test_verma_omega_export(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["matrix"]["entries"] == [["49/72"]]
+
+
+def test_verma_omega_documented_invocation(capsys):
+    code, out = run_cli(capsys, "verma", "omega", "--n", "3", "--m", "2", "--i", "1", "--j", "2", "--lambda", "7/3")
+    assert code == 0
+    assert out == (
+        '{"i": 1, "j": 2, "matrix": {"rows": 6, "cols": 6, "entries": ['
+        '["49/72", "0", "0", "0", "0", "0"], ["0", "7/72", "0", "7/12", "0", "0"], '
+        '["0", "0", "-35/72", "0", "7/12", "0"], ["0", "7/12", "0", "7/72", "0", "0"], '
+        '["0", "0", "2/3", "0", "1/72", "2/3"], ["0", "0", "0", "0", "7/12", "-35/72"]]}}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "n, m, i, j, lam",
+    [(3, 2, 1, 2, "7/3"), (4, 3, 2, 4, "1/2"), (5, 3, 1, 5, "2"), (6, 4, 3, 5, "-5/7"), (2, 0, 1, 2, "1"),
+     (12, 4, 1, 12, "1/3")],
+)
+def test_verma_omega_matches_the_dense_reference(capsys, n, m, i, j, lam):
+    # "--lambda=" keeps a negative weight from reading as an option
+    argv = ("verma", "omega", "--n", str(n), "--m", str(m), "--i", str(i), "--j", str(j), f"--lambda={lam}")
+    code, out = run_cli(capsys, *argv)
+    expected = [[str(x) for x in row] for row in omega_matrix(n, i, j, Fraction(lam), m)]
+    assert code == 0
+    assert json.loads(out) == {
+        "i": i, "j": j, "matrix": {"rows": len(expected), "cols": len(expected), "entries": expected}
+    }
+
+
+@pytest.mark.parametrize("i, j", [(2, 1), (0, 2), (1, 4)])
+def test_verma_omega_rejects_bad_leg_pairs(capsys, i, j):
+    argv = ("verma", "omega", "--n", "3", "--m", "2", "--i", str(i), "--j", str(j), "--lambda", "7/3")
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": f"bad leg pair ({i}, {j}) for n=3"}
 
 
 @pytest.mark.parametrize(

@@ -27,8 +27,8 @@ from braidrep.kz import (
     parallel_transport,
     pure_loop_path,
 )
-from braidrep.verma import leg_permutation_matrix, omega_matrix
 from braidrep.words import BraidWord, exponent_sum, underlying_permutation
+from verma_dense import leg_permutation_matrix, omega_matrix
 
 H_SMALL = 0.1 + 0.05j
 
@@ -116,7 +116,7 @@ def test_abelian_closed_form(m):
     lam = Fraction(7, 3)
     spec = KzSpec(2, lam, m, h=H_SMALL)
     result = monodromy(spec, BraidWord.parse("s1 s1", 2), 1e-9)
-    om = np.asarray(omega_matrix(2, 1, 2, complex(float(lam)), m).block, dtype=complex)
+    om = np.asarray(omega_matrix(2, 1, 2, complex(float(lam)), m), dtype=complex)
     assert np.max(np.abs(result.matrix - expm(H_SMALL * om))) < 1e-8
 
 
@@ -128,7 +128,7 @@ def test_single_letter_closed_form(m):
     spec = KzSpec(2, lam, m, h=H_SMALL)
     result = monodromy(spec, BraidWord.parse("s1", 2), 1e-10)
     lam_c = complex(float(lam))
-    om = np.asarray(omega_matrix(2, 1, 2, lam_c, m).block, dtype=complex)
+    om = np.asarray(omega_matrix(2, 1, 2, lam_c, m), dtype=complex)
     swap = np.asarray(leg_permutation_matrix(2, lam_c, m, (2, 1)), dtype=complex)
     assert np.max(np.abs(result.matrix - swap @ expm(H_SMALL / 2 * om))) < 1e-8
 
@@ -494,7 +494,7 @@ def test_system_build_matches_the_dense_references(lam):
         system = KzSystem(KzSpec(n, lam, m, h=H_SMALL))
         assert len(system.omegas) == len(system.pairs) == n * (n - 1) // 2 and len(system.swaps) == n - 1
         for (i, j), omega in zip(system.pairs, system.omegas):
-            assert np.array_equal(omega, np.asarray(omega_matrix(n, i, j, lam_c, m).block, dtype=complex))
+            assert np.array_equal(omega, np.asarray(omega_matrix(n, i, j, lam_c, m), dtype=complex))
         for i, swap in enumerate(system.swaps, 1):
             reference = leg_permutation_matrix(n, lam_c, m, _swap_images(n, i))
             assert np.array_equal(swap, np.asarray(reference, dtype=complex))
@@ -522,7 +522,7 @@ def test_compressed_operators_are_exact_restrictions(lam):
     assert np.array_equal(basis[: system.dim], np.eye(system.dim))
     lam_c = complex(lam)
     for (i, j), compressed in zip(system.pairs, system.omegas):
-        om = np.asarray(omega_matrix(n, i, j, lam_c, m).block, dtype=complex)
+        om = np.asarray(omega_matrix(n, i, j, lam_c, m), dtype=complex)
         assert np.max(np.abs(om @ basis - basis @ compressed)) < 1e-12
     for i, compressed in enumerate(system.swaps, 1):
         swap = np.asarray(leg_permutation_matrix(n, lam_c, m, _swap_images(n, i)), dtype=complex)

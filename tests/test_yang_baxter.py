@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from braidrep.alexander import alexander_conway
+from braidrep.burau import burau
 from braidrep.laurent import LaurentPoly, RingMatrix
-from braidrep.words import BraidWord, underlying_permutation
+from braidrep.words import BraidWord, exponent_sum, underlying_permutation
 from braidrep.yang_baxter import (
     RMatrixSpec,
     YangBaxterError,
@@ -320,3 +321,27 @@ def test_gl11_partial_supertrace_is_the_conway_polynomial():
         conway = alexander_conway(w)
         value = (-1) ** (conway.components - 1) * conway.poly.substitute_hom("s", q)
         assert trace == [[value, 0], [0, value]], str(w)
+
+
+# -- oracle: the one-particle sector of rq is the Burau representation; the
+# two sides share only the Laurent ring
+
+
+def test_rq_one_particle_sector_is_burau():
+    # x_a = 2^(n-1-a) is the basis vector with e_2 on leg a + 1 and e_1 on the
+    # other legs.  rq maps their span to itself, and on it a word acts as its
+    # Burau matrix at t = q^-2, entry (a, b) scaled by q^(exponent sum + b - a)
+    q = LaurentPoly.var("q")
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        letters = tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 8)))
+        w = BraidWord(n, letters)
+        rep = rep_from_r(rq_r(), n, w)
+        matrix = burau(w).matrix
+        x = [2 ** (n - 1 - a) for a in range(n)]
+        for b in range(n):
+            assert all(not rep[r, x[b]] for r in range(2**n) if r not in x), str(w)
+            for a in range(n):
+                expected = matrix[a, b].substitute_hom("t", q**-2) * q ** (exponent_sum(w) + b - a)
+                assert rep[x[a], x[b]] == expected, str(w)
