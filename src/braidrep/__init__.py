@@ -15,13 +15,12 @@ knot invariant the first one produces:
 from .alexander import ConwayResult, alexander_conway, markov_f, markov_invariance_check, skein_check
 from .burau import BurauImage, burau, conjugation_check, reduced_burau, reduced_generator, unreduced_generator
 from .laurent import ExactDivisionError, LaurentPoly, RingMatrix, exact_div
-from .verma import WeightBasis, casimir_eigenvalue, nullspace_basis, tensor_act, verma_act, weight_space_basis
+from .verma import WeightBasis, nullspace_basis, tensor_act, verma_act, weight_space_basis
 from .words import (
     BraidWord,
     Permutation,
     closure_component_count,
     exponent_sum,
-    is_pure,
     markov_conjugate,
     markov_stabilize,
     underlying_permutation,
@@ -30,7 +29,7 @@ from .words import (
 __version__ = "0.1.0"
 
 # The KZ layer needs numpy; the exact layers do not, so it loads on first use.
-_KZ_NAMES = {"ConfigPath", "KzSpec", "MonodromyResult", "generator_path", "monodromy", "nullspace_rep", "parallel_transport"}
+_KZ_NAMES = {"ConfigPath", "KzSpec", "MonodromyResult", "generator_path", "monodromy", "parallel_transport"}
 
 
 def __getattr__(name: str):
@@ -55,20 +54,17 @@ __all__ = [
     "WeightBasis",
     "alexander_conway",
     "burau",
-    "casimir_eigenvalue",
     "closure_component_count",
     "conjugation_check",
     "exact_div",
     "exponent_sum",
     "generator_path",
-    "is_pure",
     "markov_conjugate",
     "markov_f",
     "markov_invariance_check",
     "markov_stabilize",
     "monodromy",
     "nullspace_basis",
-    "nullspace_rep",
     "parallel_transport",
     "reduced_burau",
     "reduced_generator",

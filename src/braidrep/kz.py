@@ -61,10 +61,6 @@ class ConfigPath:
     segments: tuple
 
 
-def basepoint(n: int) -> np.ndarray:
-    return np.arange(1, n + 1, dtype=complex)
-
-
 def _pair_path(n: int, i: int, offset, doffset) -> ConfigPath:
     """z_i and z_{i+1} at c - offset(s) and c + offset(s), c = i + 1/2, with
     velocities -doffset(s) and doffset(s); all other points sit at their
@@ -74,7 +70,7 @@ def _pair_path(n: int, i: int, offset, doffset) -> ConfigPath:
     c = i + 0.5
 
     def pos(s: float) -> np.ndarray:
-        z = basepoint(n)
+        z = np.arange(1, n + 1, dtype=complex)
         r = offset(s)
         z[i - 1] = c - r
         z[i] = c + r
@@ -172,7 +168,7 @@ class KzSystem:
     With ``restrict_to_nullspace`` each operator X is compressed to the
     nullspace basis B of ``nullspace_matrix``: X maps N[n lam - 2m] into
     itself, so X B = B C, and since the first rows of B are the identity,
-    C is the first rows of X B.
+    C is the first rows of X B, computed as the first rows of X times B.
     """
 
     def __init__(self, spec: KzSpec):
@@ -196,8 +192,8 @@ class KzSystem:
         if spec.restrict_to_nullspace:
             basis = nullspace_matrix(n, spec.lam, m)
             self.dim = basis.shape[1]
-            omegas = np.ascontiguousarray((omegas @ basis)[:, : self.dim])
-            swaps = (swaps @ basis)[:, : self.dim]
+            omegas = np.ascontiguousarray(omegas[:, : self.dim] @ basis)
+            swaps = swaps[:, : self.dim] @ basis
         self.omegas, self.swaps = omegas, swaps
 
     def connection(self, positions, velocities) -> np.ndarray:
@@ -340,13 +336,6 @@ def monodromy(spec: KzSpec, w: BraidWord, tol: float = 1e-9) -> MonodromyResult:
         est += letter.est_error
         steps += letter.steps
     return MonodromyResult(total, est, steps)
-
-
-def nullspace_rep(spec: KzSpec, w: BraidWord, tol: float = 1e-9) -> MonodromyResult:
-    """The braid representation on the nullvector subspace N[n lam - 2m]."""
-    if not spec.restrict_to_nullspace:
-        spec = KzSpec(spec.n, spec.lam, spec.m, spec.h, spec.tau, True)
-    return monodromy(spec, w, tol)
 
 
 def flatness_residual(spec: KzSpec, point, tangent_u, tangent_v) -> float:

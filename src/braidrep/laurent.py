@@ -408,10 +408,6 @@ class RingMatrix:
         one = LaurentPoly.constant(1)
         return RingMatrix._sparse(k, k, [{i: one} for i in range(k)])
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RingMatrix":
-        return RingMatrix._sparse(rows, cols, [{} for _ in range(rows)])
-
     def __getitem__(self, idx):
         i, j = idx
         return self._sparse_rows[i].get(range(self.cols)[j], LaurentPoly.constant(0))
@@ -543,13 +539,3 @@ class RingMatrix:
             for j, e in row.items():
                 line[j] = str(e)
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
-
-    @staticmethod
-    def from_json(data: dict, variable: str | None = None) -> "RingMatrix":
-        grid = tuple(
-            tuple(LaurentPoly.parse(s, variable) for s in row) for row in data["entries"]
-        )
-        names = {p.variable for row in grid for p in row} - {None}
-        if len(names) > 1:
-            raise ValueError(f"matrix entries mix the variables {sorted(names)}")
-        return RingMatrix(data["rows"], data["cols"], grid)

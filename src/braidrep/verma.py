@@ -69,12 +69,6 @@ def verma_act(generator: str, j: int, lam):
     raise ValueError(f"unknown generator {generator!r}")
 
 
-def casimir_eigenvalue(lam):
-    """(lam^2 + 2 lam) / 8, the Casimir scalar on M_lam."""
-    lam = as_scalar(lam)
-    return (lam * lam + 2 * lam) / 8
-
-
 @dataclass(frozen=True)
 class WeightBasis:
     """Basis of the weight space of M_lam^(x)n at total lowering degree m:

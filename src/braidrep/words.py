@@ -30,29 +30,12 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def transposition(n: int, i: int) -> "Permutation":
-        """The adjacent transposition (i, i+1)."""
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
-
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
 
     def then(self, other: "Permutation") -> "Permutation":
         """Apply self first, then other (left-to-right composition)."""
         return Permutation(tuple(other.images[img - 1] for img in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for x, img in enumerate(self.images, start=1):
-            inv[img - 1] = x
-        return Permutation(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(img == x for x, img in enumerate(self.images, start=1))
@@ -128,13 +111,6 @@ class BraidWord:
                 stack.append(letter)
         return BraidWord(self.n, tuple(stack))
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "letters": [[i, s] for i, s in self.letters]}
-
-    @staticmethod
-    def from_json(data: dict) -> "BraidWord":
-        return BraidWord(int(data["n"]), tuple((int(i), int(s)) for i, s in data["letters"]))
-
 
 def underlying_permutation(w: BraidWord) -> Permutation:
     """Image of the word under sigma_i -> (i, i+1), letters applied left to
@@ -143,10 +119,6 @@ def underlying_permutation(w: BraidWord) -> Permutation:
     for i, _ in reversed(w.letters):
         images[i - 1], images[i] = images[i], images[i - 1]
     return Permutation(tuple(images))
-
-
-def is_pure(w: BraidWord) -> bool:
-    return underlying_permutation(w).is_identity()
 
 
 def exponent_sum(w: BraidWord) -> int:

@@ -10,11 +10,14 @@ Every operator here is a product of R-placements on leg pairs of V^(x)n,
 each handed to laurent's sparse column product (shared with Burau words)
 as the columns it changes, on exact and complex entries alike; a word
 computes R^-1 once, and only if it has an inverse letter.
+
+The two Yang-Baxter checks report residuals for any R.  ``rep_from_r``
+needs the braid form to hold and raises :class:`YangBaxterError` otherwise.
+R-matrices are read from JSON by ``r_matrix_from_json``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,16 +116,10 @@ def identity_r(d: int = 2) -> RMatrixSpec:
     return RMatrixSpec(d, "rational", RingMatrix.identity(d * d))
 
 
-def _flipped(m, d: int):
-    """tau m for a RingMatrix or ndarray m: row j*d + i is row i*d + j of m."""
-    rows = [r % d * d + r // d for r in range(d * d)]
-    if isinstance(m, RingMatrix):
-        return RingMatrix._sparse(d * d, d * d, [m._sparse_rows[r] for r in rows])
-    return m[rows]
-
-
 def flip_matrix(d: int) -> RingMatrix:
-    return _flipped(RingMatrix.identity(d * d), d)
+    """The swap tau of V (x) V: e_i (x) e_j -> e_j (x) e_i."""
+    one = LaurentPoly.constant(1)
+    return RingMatrix._sparse(d * d, d * d, [{r % d * d + r // d: one} for r in range(d * d)])
 
 
 def flip_r(d: int = 2) -> RMatrixSpec:
@@ -148,11 +145,6 @@ def rq_r() -> RMatrixSpec:
         ]
     )
     return RMatrixSpec(2, "laurent:q", m)
-
-
-def compose_flip(spec: RMatrixSpec) -> RMatrixSpec:
-    """tau composed after R (apply R, then swap the factors)."""
-    return RMatrixSpec(spec.dim, spec.ring, _flipped(spec.matrix, spec.dim))
 
 
 # -- products of leg placements ----------------------------------------------
@@ -191,23 +183,6 @@ def _leg_product(spec: RMatrixSpec, n: int, factors):
     return _column_product(size, one, (placed(*f) for f in factors))
 
 
-def _dense(spec: RMatrixSpec, cols):
-    """`_leg_product` columns as a RingMatrix, or a complex ndarray."""
-    if spec.exact:
-        return RingMatrix._from_columns(len(cols), cols)
-    import numpy as np
-
-    return np.array(_coordinates(cols, range(len(cols)), 0j), dtype=complex).T.copy()
-
-
-def place_on_legs(spec: RMatrixSpec, n: int, i: int, j: int):
-    """The operator acting as ``spec.matrix`` on tensor legs (i, j) of V^(x)n
-    and as the identity elsewhere.  Legs are 1-based with i < j."""
-    if not (1 <= i < j <= n):
-        raise ValueError(f"bad leg pair ({i}, {j}) for {n} legs")
-    return _dense(spec, _leg_product(spec, n, [(_columns(spec.matrix, spec.exact), i, j)]))
-
-
 # -- the two Yang-Baxter identities ------------------------------------------
 
 def _three_leg_residual(spec: RMatrixSpec, lhs, rhs) -> Residual:
@@ -231,37 +206,25 @@ def check_qybe(spec: RMatrixSpec) -> Residual:
 
 # -- induced braid representation ------------------------------------------
 
-def rep_from_r(spec: RMatrixSpec, n: int, w: BraidWord, allow_non_ybe: bool = False):
+def rep_from_r(spec: RMatrixSpec, n: int, w: BraidWord):
     """The braid-group action sigma_i -> id^(i-1) (x) R (x) id^(n-i-1),
-    evaluated on a word (product of generator images in word order)."""
+    evaluated on a word (product of generator images in word order).  An R
+    that fails the braid Yang-Baxter equation gives no braid representation
+    and raises :class:`YangBaxterError`."""
     if w.n != n:
         raise ValueError(f"word lives on {w.n} strands, expected {n}")
     ybe = check_braid_ybe(spec)
     if not ybe.passes:
-        if not allow_non_ybe:
-            raise YangBaxterError(
-                f"r-matrix fails the braid Yang-Baxter equation (residual {ybe.norm})"
-            )
-        warnings.warn("r-matrix fails the Yang-Baxter equation; result is not a braid representation")
+        raise YangBaxterError(f"r-matrix fails the braid Yang-Baxter equation (residual {ybe.norm})")
     tables = {1: _columns(spec.matrix, spec.exact)}
     if any(s < 0 for _, s in w.letters):
         tables[-1] = _columns(spec.inverse_matrix(), spec.exact)
-    return _dense(spec, _leg_product(spec, n, [(tables[s], i, i + 1) for i, s in w.letters]))
+    cols = _leg_product(spec, n, [(tables[s], i, i + 1) for i, s in w.letters])
+    if spec.exact:
+        return RingMatrix._from_columns(len(cols), cols)
+    import numpy as np
 
-
-def check_quasitriangular_matrix_axioms(spec: RMatrixSpec) -> dict:
-    """Matrix-level shadow of the quasi-triangular axioms: both Yang-Baxter
-    leg-placement identities plus invertibility."""
-    braid = check_braid_ybe(spec)
-    qybe = check_qybe(spec)
-    return {
-        "braid_ybe": braid.norm,
-        "qybe": qybe.norm,
-        # RMatrixSpec admits only unit determinants (exact) or cond <= 1e12
-        "invertible": True,
-        "exact": spec.exact,
-        "passes": braid.passes and qybe.passes,
-    }
+    return np.array(_coordinates(cols, range(len(cols)), 0j), dtype=complex).T.copy()
 
 
 # -- JSON interface ----------------------------------------------------------
@@ -278,11 +241,3 @@ def r_matrix_from_json(data: dict) -> RMatrixSpec:
     variable = _RING_VARIABLES.get(ring)
     grid = tuple(tuple(LaurentPoly.parse(s, variable) for s in row) for row in raw)
     return RMatrixSpec(d, ring, RingMatrix(d * d, d * d, grid))
-
-
-def r_matrix_to_json(spec: RMatrixSpec) -> dict:
-    if spec.exact:
-        raw = spec.matrix.to_json()["entries"]
-    else:
-        raw = [[[z.real, z.imag] for z in row] for row in spec.matrix]
-    return {"dim": spec.dim, "ring": spec.ring, "matrix": raw}

@@ -21,7 +21,6 @@ from braidrep.burau import burau, conjugation_check, reduced_burau
 from braidrep.kz import KzSpec, flatness_residual, homotopy_invariance_check, monodromy
 from braidrep.laurent import LaurentPoly, RingMatrix
 from braidrep.verma import (
-    casimir_eigenvalue,
     equivariance_check,
     kd_relation_check,
     nullspace_basis,
@@ -34,13 +33,13 @@ from braidrep.yang_baxter import (
     RMatrixSpec,
     check_braid_ybe,
     check_qybe,
-    compose_flip,
     flip_r,
     identity_r,
     rep_from_r,
     rq_r,
 )
-from verma_dense import omega_matrix, tensor_generator_matrix
+from verma_dense import casimir_eigenvalue, omega_matrix, tensor_generator_matrix
+from ybe_reference import compose_flip
 
 S = LaurentPoly.var("s")
 SINV = S.unit_inverse()

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,10 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from braidrep.burau import reduced_burau
 from braidrep.cli import main
 from braidrep.laurent import LaurentPoly, RingMatrix
-from braidrep.yang_baxter import r_matrix_from_json, r_matrix_to_json, rq_r
+from braidrep.words import BraidWord
+from braidrep.yang_baxter import RMatrixSpec, check_braid_ybe, check_qybe, r_matrix_from_json, rq_r
 from verma_dense import omega_matrix
+from ybe_reference import r_matrix_json
 
 
 def run_cli(capsys, *argv):
@@ -44,28 +48,61 @@ def test_verma_dims_documented_invocation(capsys):
     assert out == '{"weight_dim": 6, "null_dim": 3}\n'
 
 
+def test_negative_option_values_join_with_equals(capsys):
+    # argparse reads a separate "-5/7" as an option; the README gives the = form
+    code, out = run_cli(capsys, "verma", "dims", "--n", "3", "--m", "2", "--lambda=-5/7")
+    assert code == 0
+    assert out == '{"weight_dim": 6, "null_dim": 3}\n'
+    code, out = run_cli(
+        capsys, "kz", "monodromy", "--n", "2", "--m", "1", "--lambda=1/2", "--h=-0.1+0.05i", "--word", "s1"
+    )
+    assert code == 0
+    assert len(json.loads(out)["matrix"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verma", "dims", "--n", "3", "--m", "2", "--lambda", "-5/7"])
+    assert exc.value.code == 2
+
+
 def test_burau_output_roundtrips(capsys):
     code, out = run_cli(capsys, "burau", "--n", "3", "--reduced", "s1 s2^-1")
     assert code == 0
     payload = json.loads(out)
     assert payload["reduced"] is True
-    matrix = RingMatrix.from_json(payload["matrix"], "t")
-    assert matrix.rows == matrix.cols == 2
-    for row in payload["matrix"]["entries"]:
-        for entry in row:
-            LaurentPoly.parse(entry)  # loader accepts every emitted entry
+    data = payload["matrix"]
+    grid = [[LaurentPoly.parse(entry, "t") for entry in row] for row in data["entries"]]
+    assert data["rows"] == data["cols"] == 2
+    assert RingMatrix(2, 2, grid) == reduced_burau(BraidWord.parse("s1 s2^-1", 3)).matrix
 
 
 def test_ybe_builtin_and_file(tmp_path, capsys):
     code, out = run_cli(capsys, "ybe", "--builtin", "rq")
     assert code == 0
-    assert json.loads(out) == {"braid_ybe": 0.0, "qybe": 2.0, "invertible": True}
+    assert out == '{"braid_ybe": 0.0, "qybe": 2.0, "invertible": true}\n'
 
     path = tmp_path / "r.json"
-    path.write_text(json.dumps(r_matrix_to_json(rq_r())))
+    path.write_text(json.dumps(r_matrix_json(rq_r())))
+    code, out_file = run_cli(capsys, "ybe", "--file", str(path))
+    assert code == 0
+    assert out_file == out
+
+
+def test_ybe_file_reports_a_non_ybe_matrix(tmp_path, capsys):
+    # residuals are reported for any R; only rep_from_r needs the YBE to hold
+    rng = random.Random(3)
+    grid = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)] for _ in range(4)]
+    grid[0][0] += 7  # keep it invertible
+    spec = RMatrixSpec(2, "rational", RingMatrix.from_rows(grid))
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(r_matrix_json(spec)))
     code, out = run_cli(capsys, "ybe", "--file", str(path))
     assert code == 0
-    assert json.loads(out)["braid_ybe"] == 0.0
+    payload = json.loads(out)
+    assert payload["braid_ybe"] != 0.0
+    assert payload == {
+        "braid_ybe": check_braid_ybe(spec).norm,
+        "qybe": check_qybe(spec).norm,
+        "invertible": True,
+    }
 
 
 _RQ_ENTRIES = [["q", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "1", "q - q^-1", "0"], ["0", "0", "0", "q"]]
@@ -94,7 +131,7 @@ def test_ybe_file_laurent_q_ring_rejects_other_variables(tmp_path, capsys):
 
 def test_ybe_json_loader_roundtrip():
     spec = rq_r()
-    again = r_matrix_from_json(json.loads(json.dumps(r_matrix_to_json(spec))))
+    again = r_matrix_from_json(json.loads(json.dumps(r_matrix_json(spec))))
     assert again.matrix == spec.matrix
 
 

@@ -23,7 +23,6 @@ from braidrep.kz import (
     homotopy_invariance_check,
     monodromy,
     nullspace_matrix,
-    nullspace_rep,
     parallel_transport,
     pure_loop_path,
 )
@@ -261,10 +260,10 @@ def test_homotopy_invariance():
 
 
 def test_nullspace_rep_dimensions():
-    spec = KzSpec(3, Fraction(7, 3), 2, h=H_SMALL)
-    result = nullspace_rep(spec, BraidWord.parse("s1 s2", 3), 1e-9)
+    spec = KzSpec(3, Fraction(7, 3), 2, h=H_SMALL, restrict_to_nullspace=True)
+    result = monodromy(spec, BraidWord.parse("s1 s2", 3), 1e-9)
     assert result.matrix.shape == (3, 3)
-    ident = nullspace_rep(spec, BraidWord(3), 1e-9)
+    ident = monodromy(spec, BraidWord(3), 1e-9)
     assert np.array_equal(ident.matrix, np.eye(3, dtype=complex))
 
 
@@ -349,7 +348,7 @@ def test_nullspace_rep_at_m1_is_reduced_burau(n, lam, tau):
     c = cmath.exp(1j * math.pi * float(lam) ** 2 / (8 * tau))
     for _ in range(3):
         w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(8)))
-        kz_matrix = nullspace_rep(spec, w, tol=1e-11).matrix
+        kz_matrix = monodromy(spec, w, tol=1e-11).matrix
         burau_value = reduced_burau(w).matrix
         psi = c ** exponent_sum(w) * _evaluate_at(burau_value, t0)
         assert abs(np.trace(kz_matrix) - np.trace(psi)) < 1e-9
@@ -403,7 +402,7 @@ def test_nullspace_rep_at_m2_is_lkb(n, lam, tau):
     errors = {"right": [], "wrong": []}
     for _ in range(3):
         w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(6)))
-        kz_matrix = nullspace_rep(spec, w, tol=1e-11).matrix / c ** exponent_sum(w)
+        kz_matrix = monodromy(spec, w, tol=1e-11).matrix / c ** exponent_sum(w)
         for name, gens in (("right", right), ("wrong", wrong)):
             lkb = np.eye(len(kz_matrix), dtype=complex)
             for i, sign in w.letters:  # first letter acts first
@@ -520,6 +519,10 @@ def test_compressed_operators_are_exact_restrictions(lam):
     system = KzSystem(KzSpec(n, lam, m, h=H_SMALL, restrict_to_nullspace=True))
     basis = nullspace_matrix(n, lam, m)
     assert np.array_equal(basis[: system.dim], np.eye(system.dim))
+    # the top rows of X times B are bit-equal to the top rows of X B
+    full = KzSystem(KzSpec(n, lam, m, h=H_SMALL))
+    assert np.array_equal(system.omegas, (full.omegas @ basis)[:, : system.dim])
+    assert np.array_equal(system.swaps, (full.swaps @ basis)[:, : system.dim])
     lam_c = complex(lam)
     for (i, j), compressed in zip(system.pairs, system.omegas):
         om = np.asarray(omega_matrix(n, i, j, lam_c, m), dtype=complex)

@@ -308,22 +308,7 @@ def test_singular_matrix_has_zero_det_and_no_inverse():
     assert m.det() == 0
     with pytest.raises(ExactDivisionError):
         m.inverse_unit_det()
+    zero = RingMatrix.from_rows([[0] * 3] * 3)
     with pytest.raises(ExactDivisionError):
-        RingMatrix.zero(3, 3).inverse_unit_det()
-    assert RingMatrix.zero(3, 3).det() == 0
-
-
-def test_matrix_json_roundtrip():
-    m = RingMatrix.from_rows([[1 - T, T], [LaurentPoly.constant(Fraction(1, 2)), T ** -1]])
-    data = m.to_json()
-    assert data["entries"][0][0] == "1 - t"
-    assert RingMatrix.from_json(data) == m
-
-
-def test_matrix_json_rejects_mixed_variables():
-    data = {"rows": 1, "cols": 2, "entries": [["t", "s"]]}
-    with pytest.raises(ValueError, match="mix"):
-        RingMatrix.from_json(data)
-    # constants combine with either variable
-    mixed_const = RingMatrix.from_json({"rows": 1, "cols": 2, "entries": [["2", "1 - s"]]})
-    assert mixed_const.entries[0][1] == LaurentPoly.parse("1 - s")
+        zero.inverse_unit_det()
+    assert zero.det() == 0

@@ -14,7 +14,6 @@ from braidrep.verma import (
     _OMEGA_PAIRS,
     DegenerateWeightWarning,
     _echelon_kernel,
-    casimir_eigenvalue,
     equivariance_check,
     generic_null_dim,
     kd_relation_check,
@@ -24,7 +23,7 @@ from braidrep.verma import (
     weight_dim,
     weight_space_basis,
 )
-from verma_dense import leg_permutation_matrix, omega_matrix, tensor_generator_matrix
+from verma_dense import casimir_eigenvalue, leg_permutation_matrix, omega_matrix, tensor_generator_matrix
 
 LAM = Fraction(7, 3)
 

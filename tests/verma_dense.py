@@ -27,6 +27,12 @@ def tensor_generator_matrix(generator: str, n: int, lam, m: int) -> list:
     return _dense_block(lambda v: tensor_act(generator, v, n, lam, m), dom, cod)
 
 
+def casimir_eigenvalue(lam):
+    """(lam^2 + 2 lam) / 8, the Casimir scalar on M_lam."""
+    lam = as_scalar(lam)
+    return (lam * lam + 2 * lam) / 8
+
+
 def omega_matrix(n: int, i: int, j: int, lam, m: int) -> list:
     """Omega acting on legs (i, j) of W[n lam - 2m]."""
     lam = as_scalar(lam)
