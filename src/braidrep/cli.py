@@ -100,6 +100,8 @@ def cmd_ybe(args) -> dict:
         with open(args.file) as fh:
             data = json.load(fh)
     dim = int(data["dim"]) if args.file else args.dim
+    if args.builtin == "rq" and dim != 2:
+        raise ValueError(f"the rq r-matrix has dimension 2, got --dim {dim}")
     # both Yang-Baxter checks act on V^(x)3
     if dim**3 > yang_baxter.SIZE_CAP:
         raise ValueError(f"r-matrix dimension {dim} is over the limit: {dim}^3 > {yang_baxter.SIZE_CAP}")
@@ -138,10 +140,6 @@ MAX_KZ_ENTRIES = 4_000_000  # kz Omega stack, P d^2 entries: 3.2e6 took 154 MB
 # each of the P = C(n, 2) pairs of each of the d basis tuples, P d n in all:
 # 1.5e7 (n = 311, m = 0) took 1.0-1.35 s with s1 and s1 s2 s1^-1, 40 MB
 MAX_KZ_BUILD = 15 * 10**6
-# kz check redraws all n sample points until every pair is 0.3 apart, about
-# exp(0.0079 C(n, 2)) draws: n = 42 took 1.5-2.2 s at m = 0 (seeds 0-2) and
-# 2.5 s at m = 1, 31-56 MB; n = 44 took up to 4.7 s and n = 46 up to 9.9 s
-MAX_KZ_CHECK_N = 42
 
 
 def _check_size(n: int, m: int, max_dim: int, pairs: int = 0) -> None:
@@ -199,13 +197,12 @@ def cmd_verma_omega(args) -> dict:
 def _kz_spec(args, restrict: bool):
     from . import kz
 
-    lam = parse_weight(args.lam)
-    if (args.h is None) == (args.tau is None):
-        raise ValueError("give exactly one of --h and --tau")
+    # KzSpec validates n, m, lam, h and tau (exactly one of the two) and
+    # enumerates nothing, so it is built before the size check
+    h, tau = (None if text is None else parse_complex(text) for text in (args.h, args.tau))
+    spec = kz.KzSpec(args.n, parse_weight(args.lam), args.m, h=h, tau=tau, restrict_to_nullspace=restrict)
     _check_size(args.n, args.m, MAX_KZ_DIM, args.n * (args.n - 1) // 2)
-    if args.h is not None:
-        return kz.KzSpec(args.n, lam, args.m, h=parse_complex(args.h), restrict_to_nullspace=restrict)
-    return kz.KzSpec(args.n, lam, args.m, tau=parse_complex(args.tau), restrict_to_nullspace=restrict)
+    return spec
 
 
 def cmd_kz_monodromy(args) -> dict:
@@ -221,7 +218,6 @@ def cmd_kz_check(args) -> dict:
 
     from . import kz
 
-    _check_strands(args.n, MAX_KZ_CHECK_N)
     spec = _kz_spec(args, False)
     if args.n >= 3:
         left = kz.monodromy(spec, words.BraidWord.parse("s1 s2 s1", args.n), args.tol)
@@ -232,13 +228,15 @@ def cmd_kz_check(args) -> dict:
         loop = kz.monodromy(spec, words.BraidWord.parse("s1 s1^-1", 2), args.tol)
         braid_residual = float(np.max(np.abs(loop.matrix - np.eye(loop.matrix.shape[0]))))
     rng = random.Random(args.seed)
+    # n points in the box [-w, w]^2 are all 0.3 apart with probability about
+    # exp(-0.0079 C(n, 2) (3 / w)^2); the box grows with n past n = 10, so a
+    # sample takes about 1.5 draws at any n, and [-3, 3]^2 up to n = 10
+    w = 3 * max(1, args.n / 10)
     flat = 0.0
     for _ in range(10):
-        z = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(args.n)]
-        while min(
-            abs(a - b) for i, a in enumerate(z) for b in z[i + 1 :]
-        ) < 0.3:
-            z = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(args.n)]
+        z = None
+        while z is None or min(abs(a - b) for i, a in enumerate(z) for b in z[i + 1 :]) < 0.3:
+            z = [complex(rng.uniform(-w, w), rng.uniform(-w, w)) for _ in range(args.n)]
         u = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(args.n)]
         v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(args.n)]
         flat = max(flat, kz.flatness_residual(spec, z, u, v))
@@ -375,20 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("braid", help="permutation, purity, exponent sum of a word")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("word")
+    # options shared by several subcommands, each declared once
+    strands = argparse.ArgumentParser(add_help=False)
+    strands.add_argument("--n", type=int, required=True)
+    word = argparse.ArgumentParser(add_help=False, parents=[strands])
+    word.add_argument("word")
+    weight = argparse.ArgumentParser(add_help=False, parents=[strands])
+    weight.add_argument("--m", type=int, required=True)
+    weight.add_argument("--lambda", dest="lam", required=True)
+    kz_params = argparse.ArgumentParser(add_help=False, parents=[weight])
+    kz_params.add_argument("--h", default=None)
+    kz_params.add_argument("--tau", default=None)
+    kz_params.add_argument("--tol", type=float, default=1e-9)
+
+    p = sub.add_parser("braid", parents=[word], help="permutation, purity, exponent sum of a word")
     p.set_defaults(func=cmd_braid)
-
-    p = sub.add_parser("burau", help="Burau matrix of a word")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("burau", parents=[word], help="Burau matrix of a word")
     p.add_argument("--reduced", action="store_true")
-    p.add_argument("word")
     p.set_defaults(func=cmd_burau)
-
-    p = sub.add_parser("alexander", help="Alexander-Conway polynomial of the closure")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("word")
+    p = sub.add_parser("alexander", parents=[word], help="Alexander-Conway polynomial of the closure")
     p.set_defaults(func=cmd_alexander)
 
     p = sub.add_parser("ybe", help="Yang-Baxter residuals of an r-matrix")
@@ -400,38 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verma", help="weight spaces and Omega matrices")
     vsub = p.add_subparsers(dest="verma_command", required=True)
-    q = vsub.add_parser("dims")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--lambda", dest="lam", required=True)
-    q.set_defaults(func=cmd_verma_dims)
-    q = vsub.add_parser("omega")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    vsub.add_parser("dims", parents=[weight]).set_defaults(func=cmd_verma_dims)
+    q = vsub.add_parser("omega", parents=[weight])
     q.add_argument("--i", type=int, required=True)
     q.add_argument("--j", type=int, required=True)
-    q.add_argument("--lambda", dest="lam", required=True)
     q.set_defaults(func=cmd_verma_omega)
 
     p = sub.add_parser("kz", help="KZ parallel transport and residual checks")
     ksub = p.add_subparsers(dest="kz_command", required=True)
-    q = ksub.add_parser("monodromy")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--lambda", dest="lam", required=True)
-    q.add_argument("--h", default=None)
-    q.add_argument("--tau", default=None)
+    q = ksub.add_parser("monodromy", parents=[kz_params])
     q.add_argument("--word", required=True)
-    q.add_argument("--tol", type=float, default=1e-9)
     q.add_argument("--nullspace", action="store_true")
     q.set_defaults(func=cmd_kz_monodromy)
-    q = ksub.add_parser("check")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--lambda", dest="lam", required=True)
-    q.add_argument("--h", default=None)
-    q.add_argument("--tau", default=None)
-    q.add_argument("--tol", type=float, default=1e-9)
+    q = ksub.add_parser("check", parents=[kz_params])
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_kz_check)
 

@@ -233,7 +233,8 @@ def connection_value(spec: KzSpec, point, velocity) -> np.ndarray:
     return _system(spec).connection(point, velocity)
 
 
-# Dormand-Prince 5(4) pair
+# Dormand-Prince 5(4) pair; the fifth-order weights are the last row of
+# _DP_A, so the seventh stage's input is the fifth-order solution
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
@@ -244,7 +245,6 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
@@ -279,11 +279,8 @@ def _transport_segment(afun, psi: np.ndarray, tol: float, attempts: int):
                 if a:
                     y = y + (hstep * a) * kj
             k.append(afun(s + c_i * hstep) @ y)
-        psi5 = psi
-        psi4 = psi
-        for b5, b4, kj in zip(_DP_B5, _DP_B4, k):
-            if b5:
-                psi5 = psi5 + (hstep * b5) * kj
+        psi5, psi4 = y, psi
+        for b4, kj in zip(_DP_B4, k):
             if b4:
                 psi4 = psi4 + (hstep * b4) * kj
         local = float(np.max(np.abs(psi5 - psi4)))

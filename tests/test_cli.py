@@ -189,13 +189,13 @@ def test_kz_requires_exactly_one_parameter(capsys):
     code, out = run_cli(
         capsys, "kz", "monodromy", "--n", "2", "--m", "0", "--lambda", "1/2", "--word", "s1"
     )
-    assert code == 1 and "error" in json.loads(out)
+    assert (code, json.loads(out)) == (1, {"error": "give exactly one of h and tau"})
     code, out = run_cli(
         capsys,
         "kz", "monodromy", "--n", "2", "--m", "0", "--lambda", "1/2",
         "--h", "1", "--tau", "2", "--word", "s1",
     )
-    assert code == 1 and "error" in json.loads(out)
+    assert (code, json.loads(out)) == (1, {"error": "give exactly one of h and tau"})
 
 
 def test_kz_check_two_strands(capsys):
@@ -204,6 +204,43 @@ def test_kz_check_two_strands(capsys):
     payload = json.loads(out)
     assert payload["braid_residual"] < 1e-7  # inverse-consistency residual at n=2
     assert payload["homotopy_residual"] < 1e-8
+
+
+def test_kz_check_on_many_strands(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "kz", "check", "--n", "60", "--m", "0", "--lambda", "1/2", "--h", "0.1")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["braid_residual"] < 1e-6
+    assert payload["flatness_residual"] < 1e-10
+    assert payload["homotopy_residual"] < 1e-8
+
+
+def _redraw_all_sample(seed, n):
+    """The flatness sample as drawn before the box grew with n: uniform on
+    [-3, 3]^2, every point redrawn until all pairs are 0.3 apart."""
+    rng = random.Random(seed)
+    samples = []
+    for _ in range(10):
+        z = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+        while min(abs(a - b) for i, a in enumerate(z) for b in z[i + 1 :]) < 0.3:
+            z = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+        u = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        samples.append((z, u, v))
+    return samples
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 0), (3, 7), (6, 1), (10, 0), (10, 12345)])
+def test_kz_check_samples_the_fixed_box_up_to_ten_strands(capsys, monkeypatch, n, seed):
+    from braidrep import kz
+
+    samples = []
+    monkeypatch.setattr(kz, "flatness_residual", lambda spec, z, u, v: samples.append((z, u, v)) or 0.0)
+    argv = ("kz", "check", "--n", str(n), "--m", "0", "--lambda", "1/2", "--h", "0.1", "--seed", str(seed))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert samples == _redraw_all_sample(seed, n)
 
 
 def test_computation_error_exit_code(capsys):
@@ -503,6 +540,14 @@ def test_alexander_word_limit_rejects_before_building(capsys, monkeypatch, n):
     assert json.loads(out)["error"].startswith(f"{letters + 1} letters on {n} strands are over the limit")
 
 
+def test_ybe_rq_takes_only_its_own_dimension(capsys):
+    for dim in ("0", "3", "17"):
+        code, out = run_cli(capsys, "ybe", "--builtin", "rq", "--dim", dim)
+        assert (code, json.loads(out)) == (1, {"error": f"the rq r-matrix has dimension 2, got --dim {dim}"})
+    code, out = run_cli(capsys, "ybe", "--builtin", "rq", "--dim", "2")
+    assert (code, out) == (0, '{"braid_ybe": 0.0, "qybe": 2.0, "invertible": true}\n')
+
+
 def test_ybe_rejects_dimension_over_size_cap(tmp_path, capsys, monkeypatch):
     from braidrep import yang_baxter
 
@@ -605,7 +650,6 @@ _GUARD_CASES = {
     "kz-stack-n": ({"cli.MAX_KZ_ENTRIES": 108}, _kz("monodromy", 3, 2), _kz("monodromy", 4, 2)),
     # C(10, 2) pairs x 1 x 10 basis entries; C(11, 2) x 1 x 11
     "kz-build-n": ({"cli.MAX_KZ_BUILD": 450}, _kz("monodromy", 10, 0), _kz("monodromy", 11, 0)),
-    "kz-check-n": ({"cli.MAX_KZ_CHECK_N": 4}, _kz("check", 4, 0), _kz("check", 5, 0)),
     "kz-check-d": ({"cli.MAX_KZ_DIM": 3}, _kz("check", 2, 2), _kz("check", 2, 3)),
 }
 
